@@ -63,11 +63,6 @@ impl Default for Config {
                 "crates/graph/src/io.rs",
                 "crates/graph/src/csr.rs",
                 "crates/trace/src/file.rs",
-                // Daemon core: a panic in the queue/coalescer deadlocks
-                // every worker and wedges the service.
-                "crates/service/src/queue.rs",
-                "crates/service/src/coalesce.rs",
-                "crates/service/src/metrics.rs",
             ]
             .map(String::from)
             .to_vec(),
@@ -77,9 +72,6 @@ impl Default for Config {
                 "crates/cli/src/table.rs",
                 "crates/cli/src/runner.rs",
                 "crates/cli/src/experiments/*.rs",
-                "crates/cli/src/serve.rs",
-                // Service responses are asserted byte-stable by tests.
-                "crates/service/src/*.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -72,15 +72,15 @@ mod tests {
     }
 
     #[test]
-    fn hasher_types_fire_in_service_response_paths() {
+    fn hasher_types_fire_in_result_table_paths() {
         // RandomState/DefaultHasher smuggle hash ordering into otherwise
-        // BTree-based code; the service's status/metrics responses are
-        // asserted byte-stable, so they are held to the same rule.
+        // BTree-based code; the rendered result tables are compared byte
+        // for byte, so they are held to the same rule.
         let src = "use std::collections::hash_map::RandomState;\n\
                    fn f() { let h = std::hash::DefaultHasher::new(); }";
-        let service = SourceFile::new("crates/service/src/router.rs".into(), src);
+        let table = SourceFile::new("crates/cli/src/table.rs".into(), src);
         let cfg = Config::default();
-        let d = check(&service, &cfg);
+        let d = check(&table, &cfg);
         assert_eq!(d.len(), 2);
         assert!(d.iter().all(|d| d.lint == "hashmap-in-ordered-path"));
         let free = SourceFile::new("crates/sim/src/cache.rs".into(), src);

@@ -97,9 +97,8 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         name: "hashmap-in-ordered-path",
         severity: crate::diag::Severity::Deny,
-        rationale: "Trace emission, stats aggregation, results writers, and the service \
-                    response serializers feed golden files and byte-stable API bodies; \
-                    HashMap/HashSet iteration order (and RandomState/DefaultHasher, which \
+        rationale: "Trace emission, stats aggregation and results writers feed golden \
+                    files; HashMap/HashSet iteration order (and RandomState/DefaultHasher, which \
                     smuggle the same ordering in through a hasher parameter) varies per \
                     process and breaks byte-identical replays. Use BTreeMap/BTreeSet or \
                     sort explicitly.",

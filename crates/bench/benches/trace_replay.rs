@@ -21,8 +21,9 @@ fn recorded_pagerank() -> (popt_graph::Graph, popt_kernels::TracePlan, Vec<u8>, 
     (g, plan, buf, summary.events)
 }
 
-/// The sweep's actual question: how much does a pagerank *cell* cost when
-/// its events come from kernel re-execution versus trace replay?
+/// How much a pagerank *cell* costs when its events come from kernel
+/// re-execution versus trace replay. Sweep cells re-execute: replay is
+/// not cheaper.
 fn cell_drive(c: &mut Criterion) {
     let (g, plan, trace, events) = recorded_pagerank();
     let cfg = HierarchyConfig::small_test();

@@ -11,7 +11,7 @@
 //! 3. read results back in that same order — which keeps emitted CSVs
 //!    byte-identical to the historical serial runs at any `--jobs` level.
 
-use crate::runner::{simulate_traced, MatrixCtx, PolicySpec, TraceCtx};
+use crate::runner::{simulate_cached, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -42,7 +42,6 @@ pub struct Session {
     sweep: SweepSession,
     cache: Option<Arc<ArtifactCache>>,
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
-    share_traces: bool,
 }
 
 impl Session {
@@ -59,7 +58,6 @@ impl Session {
             sweep: SweepSession::parallel(threads),
             cache: None,
             graphs: Mutex::new(BTreeMap::new()),
-            share_traces: true,
         }
     }
 
@@ -87,16 +85,6 @@ impl Session {
         self
     }
 
-    /// Disables record-once / replay-many trace sharing: every cell
-    /// re-executes its kernel, as the pre-tracestore pipeline did. Used
-    /// by `--no-trace-share` and by the equivalence tests that pin
-    /// shared and unshared sweeps to byte-identical outputs.
-    #[must_use]
-    pub fn without_trace_sharing(mut self) -> Self {
-        self.share_traces = false;
-        self
-    }
-
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.sweep.threads()
@@ -105,12 +93,6 @@ impl Session {
     /// Artifact-cache hit/build counters, if a cache is attached.
     pub fn cache_counters(&self) -> Option<CacheCounters> {
         self.cache.as_ref().map(|c| c.counters())
-    }
-
-    /// Byte totals over the trace artifacts touched so far, if a cache is
-    /// attached.
-    pub fn trace_totals(&self) -> Option<popt_harness::TraceTotals> {
-        self.cache.as_ref().map(|c| c.trace_totals())
     }
 
     /// Materializes a graph under a stable descriptor: first from the
@@ -155,24 +137,9 @@ impl Session {
         })
     }
 
-    /// The trace-store context for a graph descriptor (None when the
-    /// session has no artifact cache or sharing is disabled — cells run
-    /// their kernels directly then).
-    pub fn trace_ctx(&self, graph_desc: &str) -> Option<TraceCtx> {
-        if !self.share_traces {
-            return None;
-        }
-        self.cache.as_ref().map(|cache| TraceCtx {
-            cache: Arc::clone(cache),
-            graph_desc: graph_desc.to_string(),
-        })
-    }
-
     /// A standard simulation cell: `simulate(app, graph, cfg, policy)`
     /// against a graph known by descriptor, with matrix construction
-    /// deduped through the session cache and kernel event streams shared
-    /// through the trace store (first cell per (graph, kernel) records,
-    /// siblings replay).
+    /// deduped through the session cache.
     pub fn sim_cell(
         &self,
         id: impl Into<String>,
@@ -186,9 +153,8 @@ impl Session {
         let cfg = cfg.clone();
         let policy = policy.clone();
         let ctx = self.matrix_ctx(graph_desc);
-        let trace_ctx = self.trace_ctx(graph_desc);
         SweepCell::new(id, move || {
-            simulate_traced(app, &graph, &cfg, &policy, ctx.as_ref(), trace_ctx.as_ref())
+            simulate_cached(app, &graph, &cfg, &policy, ctx.as_ref())
         })
     }
 

@@ -15,7 +15,6 @@ pub mod exec;
 pub mod experiments;
 pub mod oracle_cmd;
 pub mod runner;
-pub mod serve;
 pub mod sweep;
 pub mod table;
 pub mod trace_cmd;

@@ -23,19 +23,9 @@
 //! only the unfinished cells. Output CSVs are byte-identical to the serial
 //! runs at any `--jobs` level. A sweep with failing cells completes the
 //! healthy ones, reports the failures, and exits nonzero.
-//!
-//! `serve` keeps the same machinery resident as a daemon
-//! (`POST /v1/sweeps`, `GET /v1/sweeps/{id}`, `GET /v1/healthz`,
-//! `GET /v1/metrics`); `submit` is the matching client:
-//!
-//! ```text
-//! experiments serve  [--addr A] [--jobs N] [--queue-depth N] [--out DIR]
-//! experiments submit --addr A|ADDRFILE [exp...] [--scale S] [--deadline-ms N] [--no-wait]
-//! ```
 
 use popt_cli::exec::Session;
 use popt_cli::experiments::{emit_tables, find_experiment, Runner, EXPERIMENTS};
-use popt_cli::serve::{run_serve, run_submit, ServeOptions, SubmitOptions};
 use popt_cli::sweep::{run_sweep, SweepOptions};
 use popt_cli::Scale;
 use std::path::PathBuf;
@@ -43,123 +33,12 @@ use std::process::ExitCode;
 
 fn usage() {
     eprintln!("usage: experiments <exp>|all|list [--scale S] [--small] [--jobs N] [--out DIR]");
-    eprintln!(
-        "       experiments sweep [exp...] [--scale S] [--jobs N] [--out DIR] [--no-trace-share]"
-    );
+    eprintln!("       experiments sweep [exp...] [--scale S] [--jobs N] [--out DIR]");
     eprintln!("       experiments trace record|replay|info ... (see: experiments trace --help)");
     eprintln!("       experiments oracle [--sets N] [--ways N] [--seed S] [--deep] [FILE...]");
-    eprintln!("       experiments serve [--addr A] [--jobs N] [--queue-depth N] [--out DIR]");
-    eprintln!(
-        "       experiments submit --addr A|ADDRFILE [exp...] [--scale S] [--deadline-ms N] [--no-wait]"
-    );
     eprintln!("experiments:");
     for (name, desc, _) in EXPERIMENTS {
         eprintln!("  {name:8} {desc}");
-    }
-}
-
-fn parse_serve_args(args: Vec<String>) -> Result<ServeOptions, String> {
-    let mut opts = ServeOptions::default();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = iter.next().ok_or("--addr needs an address")?,
-            "--jobs" => {
-                let v = iter.next().ok_or("--jobs needs a positive integer")?;
-                opts.jobs = popt_cli::runner::parse_threads(&v)
-                    .ok_or_else(|| format!("bad --jobs value: {v}"))?;
-            }
-            "--queue-depth" => {
-                let v = iter
-                    .next()
-                    .ok_or("--queue-depth needs a positive integer")?;
-                opts.queue_depth = v
-                    .parse()
-                    .ok()
-                    .filter(|n: &usize| *n > 0)
-                    .ok_or_else(|| format!("bad --queue-depth value: {v}"))?;
-            }
-            "--out" => {
-                opts.out = PathBuf::from(iter.next().ok_or("--out needs a directory")?);
-            }
-            "--inject-fail" => {
-                opts.inject_fail = Some(iter.next().ok_or("--inject-fail needs a pattern")?);
-            }
-            other => return Err(format!("unknown serve argument: {other}")),
-        }
-    }
-    Ok(opts)
-}
-
-fn parse_submit_args(args: Vec<String>) -> Result<SubmitOptions, String> {
-    let mut opts = SubmitOptions {
-        addr: String::new(),
-        experiments: Vec::new(),
-        scale: Scale::Tiny,
-        deadline_ms: None,
-        wait: true,
-    };
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = iter.next().ok_or("--addr needs an address or file")?,
-            "--scale" => {
-                let v = iter.next().ok_or("--scale needs tiny|small|standard")?;
-                opts.scale = Scale::parse(&v).ok_or_else(|| format!("unknown scale: {v}"))?;
-            }
-            "--deadline-ms" => {
-                let v = iter.next().ok_or("--deadline-ms needs milliseconds")?;
-                opts.deadline_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --deadline-ms value: {v}"))?,
-                );
-            }
-            "--no-wait" => opts.wait = false,
-            name if !name.starts_with('-') => opts.experiments.push(name.to_string()),
-            other => return Err(format!("unknown submit argument: {other}")),
-        }
-    }
-    if opts.addr.is_empty() {
-        return Err("submit requires --addr (an address or the service.addr file)".to_string());
-    }
-    if opts.experiments.is_empty() {
-        return Err("submit requires at least one experiment name".to_string());
-    }
-    Ok(opts)
-}
-
-fn serve_main(args: Vec<String>) -> ExitCode {
-    match parse_serve_args(args).map_err(|e| e.to_string()) {
-        Ok(opts) => match run_serve(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(err) => {
-                eprintln!("serve failed: {err}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn submit_main(args: Vec<String>) -> ExitCode {
-    match parse_submit_args(args) {
-        Ok(opts) => match run_submit(&opts) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(err) => {
-                eprintln!("submit failed: {err}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -169,7 +48,6 @@ struct Cli {
     out: Option<PathBuf>,
     names: Vec<String>,
     inject_fail: Option<String>,
-    share_traces: bool,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
@@ -179,7 +57,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
         out: None,
         names: Vec::new(),
         inject_fail: None,
-        share_traces: true,
     };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -200,7 +77,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
             "--inject-fail" => {
                 cli.inject_fail = Some(iter.next().ok_or("--inject-fail needs a pattern")?);
             }
-            "--no-trace-share" => cli.share_traces = false,
             "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => cli.names.push(name.to_string()),
             other => return Err(format!("unknown argument: {other}")),
@@ -211,11 +87,9 @@ fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The service subcommands have their own flag vocabulary; dispatch
-    // before the classic parser sees them.
+    // The trace and oracle subcommands have their own flag vocabulary;
+    // dispatch before the classic parser sees them.
     match args.first().map(String::as_str) {
-        Some("serve") => return serve_main(args.split_off(1)),
-        Some("submit") => return submit_main(args.split_off(1)),
         Some("trace") => return popt_cli::trace_cmd::trace_main(args.split_off(1)),
         Some("oracle") => return popt_cli::oracle_cmd::oracle_main(args.split_off(1)),
         _ => {}
@@ -248,7 +122,6 @@ fn main() -> ExitCode {
                 out: cli.out.unwrap_or_else(|| PathBuf::from("results/sweep")),
                 only: rest.to_vec(),
                 inject_fail: cli.inject_fail,
-                share_traces: cli.share_traces,
             };
             match run_sweep(&opts) {
                 Ok(summary) if summary.failed.is_empty() => ExitCode::SUCCESS,

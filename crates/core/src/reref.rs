@@ -150,28 +150,35 @@ impl RerefMatrix {
         )
     }
 
-    /// Range-scoped shell with an explicit vertices-per-line granularity
-    /// (deserialization support).
-    pub(crate) fn empty_shell_range(
+    /// [`geometry`](Self::geometry) with every entry "never referenced".
+    fn shell_range(
         num_vertices: usize,
         first_vertex: u32,
         covered_vertices: usize,
-        vertices_per_line: u32,
+        elems_per_line: u32,
+        vertices_per_elem: u32,
         quant: Quantization,
         encoding: Encoding,
     ) -> Self {
-        Self::shell_range(
+        let mut m = Self::geometry(
             num_vertices,
             first_vertex,
             covered_vertices,
-            vertices_per_line,
-            1,
+            elems_per_line,
+            vertices_per_elem,
             quant,
             encoding,
-        )
+        );
+        let absent = RawEntry::absent(None, quant, encoding).0;
+        m.data = vec![absent; m.num_lines * m.num_epochs];
+        m
     }
 
-    fn shell_range(
+    /// The matrix shape with empty entry storage. The loader builds on
+    /// this, reading the entries itself and installing them with
+    /// [`set_data`](Self::set_data), so an untrusted header never sizes an
+    /// allocation up front.
+    pub(crate) fn geometry(
         num_vertices: usize,
         first_vertex: u32,
         covered_vertices: usize,
@@ -186,8 +193,7 @@ impl RerefMatrix {
         );
         let vertices_per_line = elems_per_line * vertices_per_elem;
         assert!(
-            first_vertex as usize + covered_vertices
-                <= num_vertices.max(first_vertex as usize + covered_vertices),
+            first_vertex as usize + covered_vertices <= num_vertices,
             "covered range must fit the vertex space"
         );
         assert_eq!(
@@ -200,7 +206,6 @@ impl RerefMatrix {
         let epoch_size = quant.epoch_size(num_vertices);
         let num_sub_epochs = encoding.num_sub_epochs(quant);
         let sub_epoch_size = epoch_size.div_ceil(num_sub_epochs).max(1);
-        let absent = RawEntry::absent(None, quant, encoding).0;
         RerefMatrix {
             quant,
             encoding,
@@ -213,7 +218,7 @@ impl RerefMatrix {
             sub_epoch_size,
             num_sub_epochs,
             vertices_per_line,
-            data: vec![absent; num_lines * num_epochs],
+            data: Vec::new(),
         }
     }
 

@@ -13,6 +13,9 @@ use std::io::{BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 8] = b"POPTRRM1";
 
+/// Entries reserved before any is read (2 MiB of `u16`s).
+const MAX_PREALLOC_ENTRIES: usize = 1 << 20;
+
 /// Error for matrix (de)serialization.
 #[derive(Debug)]
 pub enum MatrixFileError {
@@ -135,25 +138,35 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
         *f = u64::from_le_bytes(u64buf);
     }
     let [outer, first, covered, vpl] = fields;
-    if vpl == 0 || first % vpl != 0 || first + covered > outer.max(first + covered) {
-        return Err(MatrixFileError::Format("inconsistent geometry".into()));
+    let inconsistent = || MatrixFileError::Format("inconsistent geometry".into());
+    let end = first.checked_add(covered).ok_or_else(inconsistent)?;
+    if vpl == 0 || first % vpl != 0 || end > outer {
+        return Err(inconsistent());
     }
     // Header fields are untrusted input: reject rather than wrap values
-    // beyond the 32-bit vertex space.
-    let first = cast::narrow::<u32, u64>(first)
-        .map_err(|e| MatrixFileError::Format(format!("first vertex: {e}")))?;
+    // beyond the 32-bit vertex space. `first` and `covered` are bounded by
+    // `outer`, so they fit once it does.
+    let outer = cast::narrow::<u32, u64>(outer)
+        .map_err(|e| MatrixFileError::Format(format!("outer vertices: {e}")))?;
     let vpl = cast::narrow::<u32, u64>(vpl)
         .map_err(|e| MatrixFileError::Format(format!("vertices per line: {e}")))?;
-    let mut matrix = RerefMatrix::empty_shell_range(
+    let mut matrix = RerefMatrix::geometry(
         outer as usize,
-        first,
+        cast::exact::<u32, u64>(first),
         covered as usize,
         vpl,
+        1,
         quant,
         encoding,
     );
-    let expected = matrix.num_lines() * matrix.num_epochs();
-    let mut data = Vec::with_capacity(expected);
+    let expected = matrix
+        .num_lines()
+        .checked_mul(matrix.num_epochs())
+        .ok_or_else(inconsistent)?;
+    // The entry count comes from the header: reserve a bounded amount and
+    // grow while reading, so a truncated file with a huge header fails on
+    // the short read instead of on the allocation.
+    let mut data = Vec::with_capacity(expected.min(MAX_PREALLOC_ENTRIES));
     let mut u16buf = [0u8; 2];
     for _ in 0..expected {
         input
@@ -161,7 +174,6 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
             .map_err(|_| MatrixFileError::Format("truncated entries".into()))?;
         data.push(u16::from_le_bytes(u16buf));
     }
-    matrix.take_data(); // discard the blank shell storage
     matrix.set_data(data);
     Ok(matrix)
 }
@@ -240,5 +252,46 @@ mod tests {
         let mut bad = buf.clone();
         bad[9] = 77;
         assert!(read_matrix(&bad[..]).is_err());
+    }
+
+    /// A well-formed header (8-bit, inter+intra) with the given geometry
+    /// and no entries.
+    fn header(outer: u64, first: u64, covered: u64, vpl: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&[8, 1]);
+        for v in [outer, first, covered, vpl] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    fn assert_format_error(buf: &[u8]) {
+        match read_matrix(buf) {
+            Err(MatrixFileError::Format(_)) => {}
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_first_plus_covered_is_rejected() {
+        assert_format_error(&header(u64::MAX, 16, u64::MAX - 8, 16));
+        assert_format_error(&header(1 << 40, u64::MAX - 15, 32, 16));
+    }
+
+    #[test]
+    fn covered_range_past_outer_is_rejected() {
+        assert_format_error(&header(64, 16, 64, 16));
+        assert_format_error(&header(64, 0, 65, 1));
+    }
+
+    #[test]
+    fn huge_outer_is_rejected_without_allocating() {
+        // Beyond the 32-bit vertex space.
+        assert_format_error(&header(u64::MAX, 0, 16, 16));
+        assert_format_error(&header(1 << 32, 0, 1 << 32, 1));
+        // Inside it, the header claims ~2^40 entries; the body is empty, so
+        // the read fails long before such a buffer could be filled.
+        let max = u64::from(u32::MAX);
+        assert_format_error(&header(max, 0, max, 1));
     }
 }

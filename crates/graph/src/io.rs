@@ -101,6 +101,9 @@ pub fn write_binary<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphError
     Ok(())
 }
 
+/// Offsets or targets reserved before any is read.
+const MAX_PREALLOC: usize = 1 << 20;
+
 /// Reads a graph written by [`write_binary`].
 ///
 /// # Errors
@@ -123,7 +126,10 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
         .read_exact(&mut buf8)
         .map_err(|_| GraphError::Format("truncated header".into()))?;
     let m = u64::from_le_bytes(buf8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
+    // `n` and `m` are untrusted: reserve a bounded amount and grow while
+    // reading, so a corrupt header fails on the short read instead of
+    // aborting the process on the allocation.
+    let mut offsets = Vec::with_capacity(n.saturating_add(1).min(MAX_PREALLOC));
     for _ in 0..=n {
         reader
             .read_exact(&mut buf8)
@@ -131,7 +137,7 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
         offsets.push(u64::from_le_bytes(buf8));
     }
     let mut buf4 = [0u8; 4];
-    let mut targets = Vec::with_capacity(m);
+    let mut targets = Vec::with_capacity(m.min(MAX_PREALLOC));
     for _ in 0..m {
         reader
             .read_exact(&mut buf4)
@@ -281,6 +287,24 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         let h = read_binary(&buf[..]).unwrap();
         assert_eq!(g, h);
+    }
+
+    #[test]
+    fn huge_binary_header_with_truncated_body_is_a_format_error() {
+        for (n, m) in [(u64::MAX, u64::MAX), (1 << 40, 1 << 40), (2, u64::MAX)] {
+            let mut buf = BINARY_MAGIC.to_vec();
+            buf.extend_from_slice(&n.to_le_bytes());
+            buf.extend_from_slice(&m.to_le_bytes());
+            // Three offsets: enough for n = 2, short of every huge n.
+            for off in [0u64, 1, 2] {
+                buf.extend_from_slice(&off.to_le_bytes());
+            }
+            buf.extend_from_slice(&7u32.to_le_bytes());
+            assert!(
+                matches!(read_binary(&buf[..]), Err(GraphError::Format(_))),
+                "n={n} m={m}"
+            );
+        }
     }
 
     #[test]

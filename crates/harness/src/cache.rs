@@ -31,8 +31,6 @@ pub enum ArtifactKind {
     Graph,
     /// A serialized Rereference Matrix.
     Matrix,
-    /// A recorded `POPTTRC2` event trace.
-    Trace,
 }
 
 impl ArtifactKind {
@@ -40,7 +38,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Graph => "graphs",
             ArtifactKind::Matrix => "matrices",
-            ArtifactKind::Trace => "traces",
         }
     }
 
@@ -48,7 +45,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Graph => "csr",
             ArtifactKind::Matrix => "rrm",
-            ArtifactKind::Trace => "trc",
         }
     }
 }
@@ -101,10 +97,11 @@ pub struct CacheCounters {
     pub matrix_hits: u64,
     /// Matrices built because no artifact existed.
     pub matrix_builds: u64,
-    /// Trace requests satisfied by an already-recorded artifact (these
-    /// cells replay instead of re-executing the kernel).
+    /// Always 0: the cache no longer stores traces. Kept because the
+    /// `perfbench` benchmark reads it; the next benchmark change drops it.
     pub trace_hits: u64,
-    /// Traces recorded because no artifact existed.
+    /// Always 0, like [`trace_hits`](Self::trace_hits), and kept for the
+    /// same reason.
     pub trace_builds: u64,
 }
 
@@ -112,46 +109,10 @@ impl CacheCounters {
     /// Renders the summary JSON object (fixed key order).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"graph_hits\":{},\"graph_builds\":{},\"matrix_hits\":{},\"matrix_builds\":{},\"trace_hits\":{},\"trace_builds\":{}}}",
-            self.graph_hits,
-            self.graph_builds,
-            self.matrix_hits,
-            self.matrix_builds,
-            self.trace_hits,
-            self.trace_builds
+            "{{\"graph_hits\":{},\"graph_builds\":{},\"matrix_hits\":{},\"matrix_builds\":{}}}",
+            self.graph_hits, self.graph_builds, self.matrix_hits, self.matrix_builds
         )
     }
-}
-
-/// Aggregate byte totals of every distinct trace artifact touched by this
-/// cache instance, for compression reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceTotals {
-    /// Bytes the traces would occupy in the raw `POPTTRC1` encoding.
-    pub v1_bytes: u64,
-    /// Bytes the `POPTTRC2` artifacts actually occupy on disk.
-    pub v2_bytes: u64,
-}
-
-impl TraceTotals {
-    /// Compression ratio versus the raw v1 encoding (> 1 means smaller).
-    pub fn ratio(&self) -> f64 {
-        if self.v2_bytes == 0 {
-            return 1.0;
-        }
-        self.v1_bytes as f64 / self.v2_bytes as f64
-    }
-}
-
-/// A resolved trace artifact: where it lives and whether this call
-/// recorded it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceArtifact {
-    /// On-disk location of the `POPTTRC2` file.
-    pub path: PathBuf,
-    /// `true` when this call executed the recording closure; `false` when
-    /// the artifact already existed (the caller should replay it).
-    pub recorded: bool,
 }
 
 /// The on-disk + in-memory artifact cache shared by all cells of a sweep.
@@ -159,17 +120,11 @@ pub struct ArtifactCache {
     root: PathBuf,
     graphs: Mutex<BTreeMap<u64, Arc<Graph>>>,
     matrices: Mutex<BTreeMap<u64, Arc<RerefMatrix>>>,
-    // Trace artifacts validated this process: key hash → (v1, v2) byte
-    // sizes. Unlike graphs/matrices the artifact stays on disk (traces
-    // can dwarf memory); the memo only skips re-validating the footer.
-    traces: Mutex<BTreeMap<u64, (u64, u64)>>,
     building: Mutex<BTreeMap<u64, Arc<Mutex<()>>>>,
     graph_hits: AtomicU64,
     graph_builds: AtomicU64,
     matrix_hits: AtomicU64,
     matrix_builds: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_builds: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactCache {
@@ -189,25 +144,18 @@ impl ArtifactCache {
     /// Propagates directory-creation failures.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
-        for kind in [
-            ArtifactKind::Graph,
-            ArtifactKind::Matrix,
-            ArtifactKind::Trace,
-        ] {
+        for kind in [ArtifactKind::Graph, ArtifactKind::Matrix] {
             std::fs::create_dir_all(root.join(kind.dir()))?;
         }
         Ok(ArtifactCache {
             root,
             graphs: Mutex::new(BTreeMap::new()),
             matrices: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(BTreeMap::new()),
             building: Mutex::new(BTreeMap::new()),
             graph_hits: AtomicU64::new(0),
             graph_builds: AtomicU64::new(0),
             matrix_hits: AtomicU64::new(0),
             matrix_builds: AtomicU64::new(0),
-            trace_hits: AtomicU64::new(0),
-            trace_builds: AtomicU64::new(0),
         })
     }
 
@@ -223,21 +171,8 @@ impl ArtifactCache {
             graph_builds: self.graph_builds.load(Ordering::Relaxed),
             matrix_hits: self.matrix_hits.load(Ordering::Relaxed),
             matrix_builds: self.matrix_builds.load(Ordering::Relaxed),
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_builds: self.trace_builds.load(Ordering::Relaxed),
+            ..CacheCounters::default()
         }
-    }
-
-    /// Byte totals over every distinct trace artifact this instance has
-    /// recorded or validated.
-    pub fn trace_totals(&self) -> TraceTotals {
-        let traces = self.traces.lock().expect("trace memo");
-        let mut totals = TraceTotals::default();
-        for &(v1, v2) in traces.values() {
-            totals.v1_bytes += v1;
-            totals.v2_bytes += v2;
-        }
-        totals
     }
 
     fn artifact_path(&self, key: &ArtifactKey) -> PathBuf {
@@ -331,100 +266,6 @@ impl ArtifactCache {
             .expect("matrix memo")
             .insert(key.hash, Arc::clone(&m));
         m
-    }
-
-    /// Resolves the trace artifact for `key`, invoking `record` to
-    /// produce it on miss.
-    ///
-    /// On miss, `record` is handed a temporary path, writes a complete
-    /// `POPTTRC2` file there, and returns the recording totals; the file
-    /// is then renamed under the content address (atomic, like every
-    /// other artifact). On hit the cached file's footer is verified via
-    /// `popt_tracestore::trace_info` before it is trusted — a damaged
-    /// artifact is re-recorded, never replayed.
-    ///
-    /// Unlike [`graph`](Self::graph) / [`matrix`](Self::matrix), failures
-    /// propagate: the file *is* the value here, so the caller must know
-    /// to fall back to kernel-driven simulation.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures from `record` or from persisting the artifact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not an [`ArtifactKind::Trace`] key.
-    pub fn trace_file(
-        &self,
-        key: &ArtifactKey,
-        record: impl FnOnce(&Path) -> std::io::Result<popt_tracestore::TraceSummary>,
-    ) -> std::io::Result<TraceArtifact> {
-        assert_eq!(key.kind, ArtifactKind::Trace, "trace key required");
-        let path = self.artifact_path(key);
-        if self
-            .traces
-            .lock()
-            .expect("trace memo")
-            .contains_key(&key.hash)
-        {
-            self.trace_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(TraceArtifact {
-                path,
-                recorded: false,
-            });
-        }
-        let lock = self.build_lock(key);
-        let _guard = lock.lock().expect("trace build lock");
-        if self
-            .traces
-            .lock()
-            .expect("trace memo")
-            .contains_key(&key.hash)
-        {
-            self.trace_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(TraceArtifact {
-                path,
-                recorded: false,
-            });
-        }
-        match popt_tracestore::trace_info(&path) {
-            Ok(info) => {
-                self.trace_hits.fetch_add(1, Ordering::Relaxed);
-                self.traces
-                    .lock()
-                    .expect("trace memo")
-                    .insert(key.hash, (info.v1_bytes, info.file_bytes));
-                return Ok(TraceArtifact {
-                    path,
-                    recorded: false,
-                });
-            }
-            Err(popt_trace::file::TraceFileError::Io(e))
-                if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!("artifact cache: discarding corrupt {}: {e}", path.display());
-            }
-        }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let summary = match record(&tmp) {
-            Ok(summary) => summary,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        std::fs::rename(&tmp, &path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        self.trace_builds.fetch_add(1, Ordering::Relaxed);
-        self.traces
-            .lock()
-            .expect("trace memo")
-            .insert(key.hash, (summary.v1_bytes, summary.v2_bytes));
-        Ok(TraceArtifact {
-            path,
-            recorded: true,
-        })
     }
 }
 
@@ -610,8 +451,8 @@ mod tests {
 
     #[test]
     fn two_cache_instances_on_one_root_never_corrupt_the_artifact() {
-        // Two *separate* cache instances (two daemons / two processes on
-        // one cache dir) may each build — the per-key lock is per-instance
+        // Two *separate* cache instances (two processes on one cache
+        // dir) may each build — the per-key lock is per-instance
         // — but the atomic persist means the artifact on disk is always a
         // complete, loadable copy, and both callers get correct bytes.
         let root = scratch("two-instances");
@@ -644,98 +485,11 @@ mod tests {
             graph_builds: 2,
             matrix_hits: 3,
             matrix_builds: 0,
-            trace_hits: 4,
-            trace_builds: 5,
+            ..CacheCounters::default()
         };
         assert_eq!(
             c.to_json(),
-            "{\"graph_hits\":1,\"graph_builds\":2,\"matrix_hits\":3,\"matrix_builds\":0,\"trace_hits\":4,\"trace_builds\":5}"
+            "{\"graph_hits\":1,\"graph_builds\":2,\"matrix_hits\":3,\"matrix_builds\":0}"
         );
-    }
-
-    fn record_demo_trace(path: &Path) -> std::io::Result<popt_tracestore::TraceSummary> {
-        use popt_trace::{TraceEvent, TraceSink};
-        let file = std::fs::File::create(path)?;
-        let mut w = popt_tracestore::ChunkWriter::create_with_table(
-            file,
-            popt_tracestore::RegionTable::empty(),
-            "test-trace",
-        )
-        .map_err(other_io)?;
-        for i in 0..100 {
-            w.event(TraceEvent::read(0x1000 + i * 4, 1));
-        }
-        let (_, summary) = w.finish().map_err(other_io)?;
-        Ok(summary)
-    }
-
-    #[test]
-    fn trace_records_once_then_replays() {
-        let cache = ArtifactCache::open(scratch("trace-rt")).unwrap();
-        let key = ArtifactKey::new(ArtifactKind::Trace, "trace/v2/test/pr");
-        let first = cache.trace_file(&key, record_demo_trace).unwrap();
-        assert!(first.recorded);
-        let again = cache
-            .trace_file(&key, |_| panic!("must not re-record"))
-            .unwrap();
-        assert!(!again.recorded);
-        assert_eq!(first.path, again.path);
-        assert_eq!(cache.counters().trace_builds, 1);
-        assert_eq!(cache.counters().trace_hits, 1);
-        let totals = cache.trace_totals();
-        assert_eq!(totals.v1_bytes, 8 + 100 * 13);
-        assert!(totals.v2_bytes > 0 && totals.ratio() > 1.0);
-        // A fresh instance (new process) validates the footer and replays.
-        let cold = ArtifactCache::open(cache.root()).unwrap();
-        let warm = cold
-            .trace_file(&key, |_| panic!("must not re-record"))
-            .unwrap();
-        assert!(!warm.recorded);
-        assert_eq!(cold.counters().trace_hits, 1);
-        assert_eq!(cold.trace_totals(), totals);
-    }
-
-    #[test]
-    fn corrupt_trace_artifacts_are_rerecorded() {
-        let cache = ArtifactCache::open(scratch("trace-corrupt")).unwrap();
-        let key = ArtifactKey::new(ArtifactKind::Trace, "trace/v2/test/corrupt");
-        cache.trace_file(&key, record_demo_trace).unwrap();
-        let path = cache.artifact_path(&key);
-        std::fs::write(&path, b"garbage").unwrap();
-        let cold = ArtifactCache::open(cache.root()).unwrap();
-        let redo = cold.trace_file(&key, record_demo_trace).unwrap();
-        assert!(redo.recorded);
-        assert_eq!(cold.counters().trace_builds, 1);
-        assert!(popt_tracestore::trace_info(&path).is_ok());
-    }
-
-    #[test]
-    fn failed_recordings_propagate_and_leave_no_artifact() {
-        let cache = ArtifactCache::open(scratch("trace-fail")).unwrap();
-        let key = ArtifactKey::new(ArtifactKind::Trace, "trace/v2/test/fail");
-        let err = cache.trace_file(&key, |_| Err(std::io::Error::other("boom")));
-        assert!(err.is_err());
-        assert_eq!(cache.counters().trace_builds, 0);
-        // The failure did not poison the key: the next attempt records.
-        let redo = cache.trace_file(&key, record_demo_trace).unwrap();
-        assert!(redo.recorded);
-    }
-
-    #[test]
-    fn concurrent_trace_requests_record_once() {
-        let cache = ArtifactCache::open(scratch("trace-race")).unwrap();
-        let key = ArtifactKey::new(ArtifactKind::Trace, "trace/v2/test/race");
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..8 {
-                let (cache, key) = (&cache, &key);
-                scope.spawn(move |_| {
-                    cache.trace_file(key, record_demo_trace).unwrap();
-                });
-            }
-        })
-        .expect("no panics");
-        let c = cache.counters();
-        assert_eq!(c.trace_builds, 1, "exactly one recording, got {c:?}");
-        assert_eq!(c.trace_hits, 7);
     }
 }

@@ -1,12 +1,10 @@
-//! A deliberately minimal JSON dialect shared by the run manifest and the
-//! service API: objects, arrays, strings, and unsigned integers.
+//! A deliberately minimal JSON dialect for the run manifest: objects,
+//! arrays, strings, and unsigned integers.
 //!
 //! Rejecting everything else (floats, booleans, null) is a feature — the
 //! manifest writes nothing of the sort, so their presence means a file is
-//! not ours; the service API inherits the same restriction so every
-//! request field is an unambiguous string or counter. Emission helpers
-//! ([`encode_str`]) live here too so writers and readers agree on the
-//! escape set.
+//! not ours. Emission helpers ([`encode_str`]) live here too so writers
+//! and readers agree on the escape set.
 
 use std::collections::BTreeMap;
 
@@ -28,14 +26,6 @@ impl Value {
     pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -261,13 +251,5 @@ mod tests {
         let odd = "a/\"quoted\"\\slash\n\ttab-π";
         let parsed = parse(&encode_str(odd)).unwrap();
         assert_eq!(parsed.as_str(), Some(odd));
-    }
-
-    #[test]
-    fn as_array_exposes_items() {
-        let v = parse("[\"x\",\"y\"]").unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[1].as_str(), Some("y"));
     }
 }

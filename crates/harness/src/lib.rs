@@ -19,8 +19,8 @@
 //!   experiment drivers in `popt-cli`.
 //! * [`hash`] — the stable (cross-process) hash underneath cache keys and
 //!   manifest digests.
-//! * [`json`] — the minimal JSON dialect shared by the manifest and the
-//!   `popt-service` HTTP API (objects, arrays, strings, unsigned ints).
+//! * [`json`] — the minimal JSON dialect the manifest is written in
+//!   (objects, arrays, strings, unsigned ints).
 
 pub mod cache;
 pub mod hash;
@@ -30,9 +30,7 @@ pub mod pool;
 pub mod report;
 pub mod sweep;
 
-pub use cache::{
-    ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters, TraceArtifact, TraceTotals,
-};
+pub use cache::{ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters};
 pub use manifest::Manifest;
 pub use report::{CellMetric, CellOutcome, SweepReport};
 pub use sweep::{SweepCell, SweepSession};

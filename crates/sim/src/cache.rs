@@ -122,11 +122,8 @@ impl SetAssocCache {
     /// Whether `line` is currently resident (diagnostic; does not touch
     /// replacement state).
     pub fn contains(&self, line: u64) -> bool {
-        let set = (line % self.sets as u64) as usize;
-        (0..self.data_ways).any(|w| {
-            let i = set * self.ways + w;
-            self.valid[i] && self.tags[i] == line
-        })
+        self.find((line % self.sets as u64) as usize, line)
+            .is_some()
     }
 
     /// Forwards a software control event to the policy.
@@ -153,65 +150,18 @@ impl SetAssocCache {
     /// addresses).
     pub fn access_placed(&mut self, meta: &AccessMeta, placement: u64) -> AccessOutcome {
         let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
         self.policy.on_access(set, meta);
-
-        // Probe.
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.stats.record(true, meta.class);
-                if meta.kind == AccessKind::Write {
-                    self.dirty[i] = true;
-                }
-                self.policy.on_hit(set, w, meta);
-                return AccessOutcome::Hit;
+        if let Some(w) = self.find(set, placement) {
+            self.stats.record(true, meta.class);
+            if meta.kind == AccessKind::Write {
+                self.dirty[set * self.ways + w] = true;
             }
+            self.policy.on_hit(set, w, meta);
+            return AccessOutcome::Hit;
         }
         self.stats.record(false, meta.class);
-
-        // Prefer an invalid way.
-        let way = (0..self.data_ways).find(|&w| !self.valid[base + w]);
-        let (way, evicted, evicted_dirty) = match way {
-            Some(w) => (w, None, false),
-            None => {
-                self.scratch.clear();
-                for w in 0..self.data_ways {
-                    let i = base + w;
-                    self.scratch.push(LineView {
-                        valid: true,
-                        line: self.global[i],
-                    });
-                }
-                let ctx = VictimCtx {
-                    set,
-                    ways: &self.scratch,
-                    incoming: meta,
-                };
-                let w = self.policy.victim(&ctx);
-                assert!(
-                    w < self.data_ways,
-                    "policy {} chose way {w} beyond data ways",
-                    self.policy.name()
-                );
-                let i = base + w;
-                let old = self.global[i];
-                let was_dirty = self.dirty[i];
-                self.policy.on_evict(set, w, old);
-                self.stats.evictions += 1;
-                if was_dirty {
-                    self.stats.writebacks += 1;
-                }
-                (w, Some(old), was_dirty)
-            }
-        };
-
-        let i = base + way;
-        self.tags[i] = placement;
-        self.global[i] = meta.line;
-        self.valid[i] = true;
-        self.dirty[i] = meta.kind == AccessKind::Write;
-        self.policy.on_fill(set, way, meta);
+        let (evicted, evicted_dirty) =
+            self.fill(set, placement, meta, meta.kind == AccessKind::Write);
         AccessOutcome::Miss {
             evicted,
             evicted_dirty,
@@ -223,55 +173,79 @@ impl SetAssocCache {
     /// already resident. Evictions and writebacks are accounted normally.
     pub fn prefetch_placed(&mut self, meta: &AccessMeta, placement: u64) -> bool {
         let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                return false;
-            }
+        if self.find(set, placement).is_some() {
+            return false;
         }
-        let way = (0..self.data_ways).find(|&w| !self.valid[base + w]);
-        let way = match way {
-            Some(w) => w,
-            None => {
-                self.scratch.clear();
-                for w in 0..self.data_ways {
+        self.fill(set, placement, meta, false);
+        true
+    }
+
+    /// The data way of `set` holding `placement`, if resident.
+    #[inline]
+    fn find(&self, set: usize, placement: u64) -> Option<usize> {
+        let base = set * self.ways;
+        (0..self.data_ways).find(|&w| self.valid[base + w] && self.tags[base + w] == placement)
+    }
+
+    /// Installs `meta.line` at `placement` in `set`, into an invalid way if
+    /// there is one and into the policy's victim otherwise. Evictions and
+    /// writebacks of the displaced line are counted here; the caller owns
+    /// the demand hit/miss statistics. Returns the displaced global line
+    /// and whether it was dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy picks a way outside the data ways: it would
+    /// overwrite a reserved way (or another set's line) with no stats
+    /// trail to catch it.
+    #[inline]
+    fn fill(
+        &mut self,
+        set: usize,
+        placement: u64,
+        meta: &AccessMeta,
+        dirty: bool,
+    ) -> (Option<u64>, bool) {
+        let base = set * self.ways;
+        let (way, evicted, evicted_dirty) =
+            match (0..self.data_ways).find(|&w| !self.valid[base + w]) {
+                Some(w) => (w, None, false),
+                None => {
+                    self.scratch.clear();
+                    self.scratch.extend(
+                        self.global[base..base + self.data_ways]
+                            .iter()
+                            .map(|&line| LineView { valid: true, line }),
+                    );
+                    let ctx = VictimCtx {
+                        set,
+                        ways: &self.scratch,
+                        incoming: meta,
+                    };
+                    let w = self.policy.victim(&ctx);
+                    assert!(
+                        w < self.data_ways,
+                        "policy {} chose way {w} beyond data ways",
+                        self.policy.name()
+                    );
                     let i = base + w;
-                    self.scratch.push(LineView {
-                        valid: true,
-                        line: self.global[i],
-                    });
+                    let old = self.global[i];
+                    let was_dirty = self.dirty[i];
+                    self.policy.on_evict(set, w, old);
+                    self.stats.evictions += 1;
+                    if was_dirty {
+                        self.stats.writebacks += 1;
+                    }
+                    (w, Some(old), was_dirty)
                 }
-                let ctx = VictimCtx {
-                    set,
-                    ways: &self.scratch,
-                    incoming: meta,
-                };
-                let w = self.policy.victim(&ctx);
-                // Same contract as the demand path: an out-of-range victim
-                // would silently overwrite a reserved way (or another set's
-                // line) here, with no stats trail to catch it.
-                assert!(
-                    w < self.data_ways,
-                    "policy {} chose way {w} beyond data ways",
-                    self.policy.name()
-                );
-                let i = base + w;
-                self.policy.on_evict(set, w, self.global[i]);
-                self.stats.evictions += 1;
-                if self.dirty[i] {
-                    self.stats.writebacks += 1;
-                }
-                w
-            }
-        };
+            };
         let i = base + way;
         self.tags[i] = placement;
         self.global[i] = meta.line;
         self.valid[i] = true;
-        self.dirty[i] = false;
+        self.dirty[i] = dirty;
         self.policy.on_fill(set, way, meta);
-        true
+        (evicted, evicted_dirty)
     }
 
     /// Absorbs a writeback arriving from an upper level: if the line is
@@ -281,15 +255,11 @@ impl SetAssocCache {
     /// `true` if absorbed.
     pub fn absorb_writeback(&mut self, placement: u64) -> bool {
         let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.dirty[i] = true;
-                return true;
-            }
-        }
-        false
+        let Some(w) = self.find(set, placement) else {
+            return false;
+        };
+        self.dirty[set * self.ways + w] = true;
+        true
     }
 
     /// Invalidates one line by placement (coherence). The copy is dropped
@@ -297,16 +267,13 @@ impl SetAssocCache {
     /// it. Returns whether a copy existed.
     pub fn invalidate_line(&mut self, placement: u64) -> bool {
         let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.valid[i] = false;
-                self.dirty[i] = false;
-                return true;
-            }
-        }
-        false
+        let Some(w) = self.find(set, placement) else {
+            return false;
+        };
+        let i = set * self.ways + w;
+        self.valid[i] = false;
+        self.dirty[i] = false;
+        true
     }
 
     /// Invalidates every line (context switch / co-running process

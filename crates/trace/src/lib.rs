@@ -37,7 +37,7 @@ mod sink;
 
 pub use address_space::{AddressSpace, Region, RegionClass, RegionId};
 pub use event::{Access, AccessKind, SiteId, TraceEvent};
-pub use sink::{CountingSink, RecordingSink, TeeSink, TraceSink};
+pub use sink::{CountingSink, RecordingSink, TraceSink};
 
 /// Cache line size in bytes. Fixed at 64 throughout, like the paper
 /// ("a typical cache line of 64B", Section V-A).

@@ -288,8 +288,8 @@ pub fn verify(path: &Path) -> Result<ReplayStats, TraceFileError> {
 }
 
 /// Reads a v2 file's header and footer — without decoding any chunks —
-/// by seeking through the trailer. This is the cheap integrity probe the
-/// artifact cache runs before trusting a cached trace.
+/// by seeking through the trailer: a cheap integrity probe for a stored
+/// trace.
 ///
 /// # Errors
 ///
