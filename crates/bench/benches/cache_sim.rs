@@ -1,11 +1,11 @@
 //! Simulator throughput: accesses per second through the full three-level
 //! hierarchy under each replacement policy — the cost of the simulation
 //! infrastructure itself, and the relative overhead of the graph-aware
-//! policies (P-OPT's matrix lookups vs T-OPT's transpose walks).
+//! policies (P-OPT's matrix lookups vs T-OPT's next-reference index).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_core::{Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt};
+use popt_core::{NextRefIndex, Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt};
 use popt_kernels::App;
 use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::TraceSink;
@@ -73,13 +73,10 @@ fn policy_throughput(c: &mut Criterion) {
         })
     });
 
-    let transpose = Arc::new(g.out_csr().clone());
-    let streams = plan.irregular_streams();
+    let index = Arc::new(NextRefIndex::build(g.out_csr(), &plan.irregular_streams()));
     group.bench_function("T-OPT", |b| {
         b.iter(|| {
-            let mut h = Hierarchy::new(&cfg, |s, w| {
-                Box::new(Topt::new(Arc::clone(&transpose), streams.clone(), s, w))
-            });
+            let mut h = Hierarchy::new(&cfg, |s, w| Box::new(Topt::new(Arc::clone(&index), s, w)));
             h.set_address_space(&plan.space);
             app.trace(&g, &plan, &mut h);
             h.stats().llc.misses

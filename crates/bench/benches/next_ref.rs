@@ -1,11 +1,14 @@
 //! Next-reference computation cost: Algorithm 2 on the Rereference Matrix
-//! (per encoding) against T-OPT's exact transpose walk, plus the next-ref
+//! (per encoding) against T-OPT's exact victim search, plus the next-ref
 //! engine's victim selection over a full eviction set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use popt_bench::bench_graph;
-use popt_core::{Encoding, Quantization, RerefMatrix};
+use popt_core::{Encoding, IrregularStream, NextRefIndex, Quantization, RerefMatrix, Topt};
+use popt_sim::{AccessMeta, ControlEvent, LineView, ReplacementPolicy, VictimCtx};
+use popt_trace::{AccessKind, RegionClass, SiteId};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn algorithm2(c: &mut Criterion) {
     let g = bench_graph(32_768);
@@ -33,21 +36,47 @@ fn algorithm2(c: &mut Criterion) {
     group.finish();
 }
 
-fn exact_transpose_walk(c: &mut Criterion) {
-    // T-OPT's per-line cost: one binary search per vertex in the line.
-    let g = bench_graph(32_768);
-    let csr = g.out_csr();
-    c.bench_function("next_ref/topt_exact_line", |b| {
-        let mut first = 0u32;
+fn topt_victim_search(c: &mut Criterion) {
+    // T-OPT's per-decision cost: the exact next reference of all 16 ways
+    // of an eviction set of srcData lines, from the next-reference index,
+    // while the current vertex sweeps upward as in a pull iteration.
+    const VERTICES: u32 = 32_768;
+    let g = bench_graph(VERTICES as usize);
+    let stream = IrregularStream {
+        base: 0,
+        bound: u64::from(VERTICES) * 4,
+        vertices_per_line: 16,
+    };
+    let lines = u64::from(VERTICES / 16);
+    let index = Arc::new(NextRefIndex::build(g.out_csr(), &[stream]));
+    let mut topt = Topt::new(index, 1, 16);
+    let incoming = AccessMeta {
+        line: 0,
+        site: SiteId(0),
+        kind: AccessKind::Read,
+        class: RegionClass::Irregular,
+    };
+    c.bench_function("next_ref/topt_victim_16way", |b| {
+        let mut vertex = 0u32;
+        let mut ways = [LineView {
+            valid: true,
+            line: 0,
+        }; 16];
         b.iter(|| {
-            first = (first + 16 * 131) % 32_000;
-            let mut best = u32::MAX;
-            for v in first..first + 16 {
-                if let Some(n) = csr.next_neighbor_after(v, first) {
-                    best = best.min(n);
-                }
+            vertex += 3;
+            if vertex >= VERTICES {
+                vertex = 0;
+                topt.on_control(&ControlEvent::IterationBegin);
             }
-            black_box(best)
+            topt.on_control(&ControlEvent::CurrentVertex(vertex));
+            for (i, w) in (0u64..).zip(ways.iter_mut()) {
+                w.line = (u64::from(vertex) * 7 + i * 127) % lines;
+            }
+            black_box(topt.victim(&VictimCtx {
+                set: 0,
+                ways: &ways,
+                incoming: &incoming,
+            }))
         })
     });
 }
@@ -68,7 +97,7 @@ fn engine_victim_selection(c: &mut Criterion) {
 criterion_group!(
     benches,
     algorithm2,
-    exact_transpose_walk,
+    topt_victim_search,
     engine_victim_selection
 );
 criterion_main!(benches);

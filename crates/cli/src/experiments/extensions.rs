@@ -7,7 +7,7 @@ use crate::exec::Session;
 use crate::runner::{popt_bindings_cached, reserved_ways_for, PolicySpec};
 use crate::table::{f2, pct, Table};
 use crate::Scale;
-use popt_core::{Encoding, Popt, PoptConfig, Quantization, StreamBinding, Topt};
+use popt_core::{Encoding, NextRefIndex, Popt, PoptConfig, Quantization, StreamBinding, Topt};
 use popt_graph::suite::SuiteGraph;
 use popt_graph::Graph;
 use popt_kernels::{pagerank, App};
@@ -74,18 +74,19 @@ pub fn ext_parallel(session: &Session, scale: Scale) -> Vec<Table> {
                 },
             ));
         }
-        let transpose = Arc::new(entry.graph.out_csr().clone());
-        let streams = plan.irregular_streams();
+        let index = Arc::new(NextRefIndex::build(
+            entry.graph.out_csr(),
+            &plan.irregular_streams(),
+        ));
         for threads in THREADS {
             let g = Arc::clone(&entry.graph);
             let cfg = cfg.clone();
-            let t = Arc::clone(&transpose);
-            let s2 = streams.clone();
+            let index = Arc::clone(&index);
             cells.push(session.cell(
                 format!("ext1/{}/{}/topt/t{threads}", scale.name(), entry.which),
                 move || {
                     run_parallel(&g, &cfg, threads, &mut |s, w| {
-                        Box::new(Topt::new(Arc::clone(&t), s2.clone(), s, w))
+                        Box::new(Topt::new(Arc::clone(&index), s, w))
                     })
                 },
             ));
@@ -534,10 +535,9 @@ mod tests {
         })
         .llc
         .irregular_misses;
-        let transpose = Arc::new(g.out_csr().clone());
-        let streams = plan.irregular_streams();
+        let index = Arc::new(NextRefIndex::build(g.out_csr(), &plan.irregular_streams()));
         let topt = run_parallel(&g, &cfg, threads, &mut move |s, w| {
-            Box::new(Topt::new(Arc::clone(&transpose), streams.clone(), s, w))
+            Box::new(Topt::new(Arc::clone(&index), s, w))
         })
         .llc
         .irregular_misses;

@@ -1,7 +1,7 @@
 //! Simulation plumbing: composes kernels, graphs, hierarchy configurations
 //! and replacement policies into end-to-end trace-driven runs.
 
-use popt_core::{Encoding, Popt, PoptConfig, Quantization, StreamBinding, Topt};
+use popt_core::{Encoding, NextRefIndex, Popt, PoptConfig, Quantization, StreamBinding, Topt};
 use popt_graph::{Graph, VertexId};
 use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
@@ -301,15 +301,12 @@ pub fn policy_hierarchy_cached(
             panic!("Belady is two-pass; it cannot be built ahead of event delivery")
         }
         PolicySpec::Topt => {
-            let transpose = Arc::new(g.transpose_of(app.direction()).clone());
-            let streams = plan.irregular_streams();
+            let index = Arc::new(NextRefIndex::build(
+                g.transpose_of(app.direction()),
+                &plan.irregular_streams(),
+            ));
             Hierarchy::new(cfg, move |sets, ways| {
-                Box::new(Topt::new(
-                    Arc::clone(&transpose),
-                    streams.clone(),
-                    sets,
-                    ways,
-                ))
+                Box::new(Topt::new(Arc::clone(&index), sets, ways))
             })
         }
         PolicySpec::Popt {

@@ -7,10 +7,10 @@
 //! out-neighbor of `v` greater than `d`. That turns Belady's MIN from an
 //! oracle into a data-structure lookup:
 //!
-//! * [`Topt`] — **T-OPT** (Section III): consults the transpose CSR
-//!   directly at replacement time. Near-optimal, but each decision costs
-//!   `O(out-degree)` per vertex in the line; treated by the paper as the
-//!   idealized upper bound.
+//! * [`Topt`] — **T-OPT** (Section III): answers next references exactly
+//!   from the transpose, through a [`NextRefIndex`] that holds each line's
+//!   merged transpose neighbors and a per-line cursor into it. Treated by
+//!   the paper, and by the timing model, as the idealized upper bound.
 //! * [`RerefMatrix`] — the **Rereference Matrix** (Section IV): an
 //!   epoch-quantized compression of the transpose,
 //!   `numCacheLines × numEpochs` entries of a few bits each, with three
@@ -60,7 +60,7 @@ pub use entry::{Encoding, RawEntry};
 pub use epoch::Quantization;
 pub use policy::{Popt, PoptConfig, StreamBinding, TieBreak};
 pub use reref::RerefMatrix;
-pub use topt::{IrregularStream, Topt};
+pub use topt::{IrregularStream, NextRefIndex, Topt};
 
 /// Next-reference distance treated as "infinitely far" (no further use).
 pub const INFINITE_DISTANCE: u32 = u32::MAX;

@@ -8,10 +8,11 @@ use crate::{Edge, GraphError, VertexId};
 /// contiguously. A CSC is just the `Csr` of the reversed edge set — see
 /// [`Csr::transpose`].
 ///
-/// Neighbor lists are kept **sorted by vertex ID**. Both the T-OPT oracle
-/// (binary search for the first out-neighbor past the current outer-loop
-/// vertex) and the Rereference Matrix builder rely on this invariant, which
-/// is established at construction time.
+/// Neighbor lists are kept **sorted by vertex ID**.
+/// [`Csr::next_neighbor_after`] (binary search for the first out-neighbor
+/// past the current outer-loop vertex, the next reference T-OPT computes)
+/// and the Rereference Matrix builder rely on this invariant, which is
+/// established at construction time.
 ///
 /// # Example
 ///

@@ -14,7 +14,9 @@
 //!   exempt from the set-permutation check.
 
 use crate::case::TraceCase;
-use popt_core::{Encoding, Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt};
+use popt_core::{
+    Encoding, NextRefIndex, Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt,
+};
 use popt_graph::Graph;
 use popt_kernels::App;
 use popt_sim::policies::{Belady, Grasp, GraspRegions};
@@ -103,8 +105,8 @@ impl NamedPolicy {
     }
 
     /// Wraps an arbitrary constructor (used for graph-aware policies whose
-    /// inputs — transpose CSR, Rereference Matrices — live outside the
-    /// case).
+    /// inputs — T-OPT's next-reference index, Rereference Matrices — live
+    /// outside the case).
     pub fn custom(
         name: &str,
         online: bool,
@@ -135,25 +137,20 @@ impl NamedPolicy {
 }
 
 /// T-OPT and P-OPT configured for one traced kernel run over `g`,
-/// mirroring the CLI runner's construction path: the transpose CSR and the
-/// per-stream Rereference Matrices (paper-default 8-bit inter+intra
-/// entries) are built once and shared across rebuilds via `Arc`.
+/// mirroring the CLI runner's construction path: T-OPT's next-reference
+/// index and the per-stream Rereference Matrices (paper-default 8-bit
+/// inter+intra entries) are built once from the borrowed transpose and
+/// shared across rebuilds via `Arc`.
 ///
 /// Both are online (their lookahead comes from graph structure plus the
 /// software control events in the trace, never from future accesses) but
 /// not set-symmetric (their decisions depend on line values).
 pub fn graph_aware_policies(app: App, g: &Graph) -> Vec<NamedPolicy> {
     let plan = app.plan(g);
-    let transpose = Arc::new(g.transpose_of(app.direction()).clone());
-    let streams = plan.irregular_streams();
-    let topt_transpose = Arc::clone(&transpose);
+    let transpose = g.transpose_of(app.direction());
+    let index = Arc::new(NextRefIndex::build(transpose, &plan.irregular_streams()));
     let topt = NamedPolicy::custom("T-OPT", true, false, move |case| {
-        Box::new(Topt::new(
-            Arc::clone(&topt_transpose),
-            streams.clone(),
-            case.sets,
-            case.ways,
-        ))
+        Box::new(Topt::new(Arc::clone(&index), case.sets, case.ways))
     });
     let bindings: Vec<StreamBinding> = plan
         .irregs
@@ -161,7 +158,7 @@ pub fn graph_aware_policies(app: App, g: &Graph) -> Vec<NamedPolicy> {
         .map(|spec| {
             let region = plan.space.region(spec.region);
             let matrix = RerefMatrix::build(
-                &transpose,
+                transpose,
                 u32::try_from(region.elems_per_line()).expect("elems_per_line fits u32"),
                 spec.vertices_per_elem,
                 Quantization::EIGHT,

@@ -1,4 +1,4 @@
-use crate::nuca::BankMapping;
+use crate::nuca::{BankMapping, MAX_BANKS};
 use crate::{
     AccessMeta, ControlEvent, HierarchyConfig, HierarchyStats, PolicyKind, ReplacementPolicy,
     SetAssocCache,
@@ -66,7 +66,7 @@ pub struct Hierarchy {
     cfg: HierarchyConfig,
     irreg_ranges: Vec<(u64, u64)>,
     instructions: u64,
-    bank_accesses: [u64; 16],
+    bank_accesses: [u64; MAX_BANKS],
     prefetch_fills: u64,
     dram_writebacks: u64,
     coherence_invalidations: u64,
@@ -136,7 +136,7 @@ impl Hierarchy {
             cfg: cfg.clone(),
             irreg_ranges: Vec::new(),
             instructions: 0,
-            bank_accesses: [0; 16],
+            bank_accesses: [0; MAX_BANKS],
             prefetch_fills: 0,
             dram_writebacks: 0,
             coherence_invalidations: 0,
@@ -259,7 +259,11 @@ impl Hierarchy {
             return;
         }
         let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        self.bank_accesses[bank.min(15)] += 1;
+        // `NucaConfig` caps the bank count at `MAX_BANKS`, so every bank
+        // has a counter.
+        if let Some(count) = self.bank_accesses.get_mut(bank) {
+            *count += 1;
+        }
         if let Some(rec) = &mut self.recorder {
             rec.push(line);
         }
@@ -422,6 +426,35 @@ mod tests {
         let used = s.bank_accesses.iter().filter(|&&c| c > 0).count();
         assert_eq!(used, 4);
         assert_eq!(s.llc.demand_accesses(), 4096);
+    }
+
+    #[test]
+    fn bank_counts_add_up_to_llc_demand_accesses() {
+        let mut space = AddressSpace::new();
+        let stream = space.alloc("stream", 1 << 14, 8, RegionClass::Streaming);
+        let irreg = space.alloc("irreg", 1 << 14, 4, RegionClass::Irregular);
+        for banks in [1, 8, MAX_BANKS] {
+            for nuca in [NucaConfig::uniform(banks), NucaConfig::popt(banks)] {
+                let mut cfg = HierarchyConfig::scaled_table1();
+                cfg.nuca = nuca;
+                let mut h = lru_hierarchy(&cfg);
+                h.set_address_space(&space);
+                for i in 0..20_000u64 {
+                    let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                    h.event(TraceEvent::read(space.addr_of(stream, i % (1 << 14)), 0));
+                    h.event(TraceEvent::write(space.addr_of(irreg, x % (1 << 14)), 1));
+                }
+                let s = h.stats();
+                assert!(s.llc.demand_accesses() > 0);
+                assert_eq!(
+                    s.bank_accesses.iter().sum::<u64>(),
+                    s.llc.demand_accesses(),
+                    "{banks} banks, {nuca:?}"
+                );
+                assert!(s.bank_accesses[banks..].iter().all(|&c| c == 0));
+                assert!(s.bank_accesses[..banks].iter().all(|&c| c > 0));
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod timing;
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
-pub use nuca::{BankMapping, NucaConfig};
+pub use nuca::{BankMapping, NucaConfig, MAX_BANKS};
 pub use policies::PolicyKind;
 pub use replace::{
     AccessMeta, ControlEvent, LineView, PolicyOverheads, ReplacementPolicy, VictimCtx,

@@ -35,6 +35,11 @@ impl BankMapping {
     }
 }
 
+/// Most LLC banks a configuration may have:
+/// [`HierarchyStats::bank_accesses`](crate::HierarchyStats::bank_accesses)
+/// keeps one counter per bank in a fixed-size array.
+pub const MAX_BANKS: usize = 16;
+
 /// NUCA configuration of the LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NucaConfig {
@@ -48,8 +53,17 @@ pub struct NucaConfig {
 
 impl NucaConfig {
     /// Uniform S-NUCA with line interleave for everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_banks` is zero or above [`MAX_BANKS`].
     pub fn uniform(num_banks: usize) -> Self {
         assert!(num_banks > 0, "need at least one bank");
+        assert!(
+            num_banks <= MAX_BANKS,
+            "{num_banks} LLC banks requested, but at most {MAX_BANKS} are supported \
+             (HierarchyStats::bank_accesses keeps one counter per bank)"
+        );
         NucaConfig {
             num_banks,
             default_mapping: BankMapping::LineInterleave,
@@ -59,6 +73,10 @@ impl NucaConfig {
 
     /// The paper's P-OPT configuration: line interleave for ordinary data,
     /// 64-line block interleave for irregData.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_banks` is zero or above [`MAX_BANKS`].
     pub fn popt(num_banks: usize) -> Self {
         NucaConfig {
             irreg_mapping: BankMapping::POPT_IRREG,
@@ -86,6 +104,12 @@ impl NucaConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "17 LLC banks requested, but at most 16 are supported")]
+    fn more_banks_than_counters_are_rejected() {
+        let _ = NucaConfig::popt(MAX_BANKS + 1);
+    }
 
     #[test]
     fn line_interleave_round_robins() {

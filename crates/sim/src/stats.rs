@@ -80,8 +80,9 @@ pub struct HierarchyStats {
     pub llc: CacheStats,
     /// Instructions retired (memory accesses + explicit ticks).
     pub instructions: u64,
-    /// Per-bank LLC demand accesses (NUCA load balance diagnostics).
-    pub bank_accesses: [u64; 16],
+    /// Per-bank LLC demand accesses (NUCA load balance diagnostics); bank
+    /// `b` counts at index `b`, and banks past the configured count read 0.
+    pub bank_accesses: [u64; crate::MAX_BANKS],
     /// Lines installed by the prefetch engine.
     pub prefetch_fills: u64,
     /// Dirty private-cache victims written straight to DRAM (not resident

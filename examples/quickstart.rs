@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use p_opt::core::{Popt, PoptConfig, Topt};
+use p_opt::core::{NextRefIndex, Popt, PoptConfig, Topt};
 use p_opt::prelude::*;
 use std::sync::Arc;
 
@@ -70,10 +70,9 @@ fn main() {
     });
 
     // T-OPT: the idealized transpose oracle.
-    let transpose = Arc::new(g.out_csr().clone());
-    let streams = plan.irregular_streams();
+    let index = Arc::new(NextRefIndex::build(g.out_csr(), &plan.irregular_streams()));
     let topt = run("T-OPT", &cfg, &mut |s, w| {
-        Box::new(Topt::new(Arc::clone(&transpose), streams.clone(), s, w))
+        Box::new(Topt::new(Arc::clone(&index), s, w))
     });
 
     let model = TimingModel::default();
