@@ -62,7 +62,6 @@ impl Default for Config {
                 // crate error types, never as panics.
                 "crates/graph/src/io.rs",
                 "crates/graph/src/csr.rs",
-                "crates/trace/src/file.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -7,6 +7,7 @@ use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Belady, Grasp, GraspRegions};
 use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind, TimingModel};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -254,24 +255,49 @@ pub fn simulate_cached(
 ) -> HierarchyStats {
     let plan = app.plan(g);
     if matches!(policy, PolicySpec::Belady) {
-        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
-        // Pass 1: record the LLC line stream (policy-independent).
-        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
-        recorder.set_address_space(&plan.space);
-        recorder.start_recording_llc();
-        app.trace(g, &plan, &mut recorder);
-        let trace = recorder.take_llc_recording();
-        // Pass 2: run the kernel again under the oracle.
-        let mut hierarchy = Hierarchy::new(cfg, move |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &trace))
+        let Ok(mut hierarchy) = belady_hierarchy(cfg, &plan, |recorder| {
+            app.trace(g, &plan, recorder);
+            Ok::<(), Infallible>(())
         });
-        hierarchy.set_address_space(&plan.space);
         app.trace(g, &plan, &mut hierarchy);
         return hierarchy.stats();
     }
     let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx);
     app.trace(g, &plan, &mut hierarchy);
     hierarchy.stats()
+}
+
+/// The Belady (MIN) hierarchy, built by the first of its two passes:
+/// `pass1` delivers the events to an LRU hierarchy that records the LLC
+/// line stream (no LLC policy changes it), the oracle is built from that
+/// stream, and the returned hierarchy takes the same events again as
+/// pass 2. [`simulate_cached`] runs the kernel for each pass; `experiments
+/// trace replay` decodes its file for each.
+///
+/// # Errors
+///
+/// Whatever `pass1` returns.
+///
+/// # Panics
+///
+/// Panics with a multi-bank LLC: the oracle needs one globally ordered
+/// LLC stream.
+pub fn belady_hierarchy<E>(
+    cfg: &HierarchyConfig,
+    plan: &TracePlan,
+    pass1: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+) -> Result<Hierarchy, E> {
+    assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
+    let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
+    recorder.set_address_space(&plan.space);
+    recorder.start_recording_llc();
+    pass1(&mut recorder)?;
+    let trace = recorder.take_llc_recording();
+    let mut hierarchy = Hierarchy::new(cfg, move |sets, ways| {
+        Box::new(Belady::from_trace(sets, ways, &trace))
+    });
+    hierarchy.set_address_space(&plan.space);
+    Ok(hierarchy)
 }
 
 /// Builds a hierarchy configured for `policy`, with its address space set,
@@ -283,7 +309,7 @@ pub fn simulate_cached(
 ///
 /// Panics on [`PolicySpec::Belady`]: the oracle is built *from* a recorded
 /// LLC stream, so it cannot be constructed ahead of event delivery. Use
-/// [`simulate_cached`] for Belady.
+/// [`belady_hierarchy`] for Belady.
 pub fn policy_hierarchy_cached(
     app: App,
     g: &Graph,

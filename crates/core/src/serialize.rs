@@ -294,4 +294,79 @@ mod tests {
         let max = u64::from(u32::MAX);
         assert_format_error(&header(max, 0, max, 1));
     }
+
+    /// Property check for any input: a typed error, or a matrix that
+    /// re-serializes to a prefix of the input (the loader ignores trailing
+    /// bytes, so a header shrunk by damage leaves some unread).
+    fn loads_cleanly(bytes: &[u8]) -> Result<(), String> {
+        let Ok(m) = read_matrix(bytes) else {
+            return Ok(());
+        };
+        let mut again = Vec::new();
+        write_matrix(&m, &mut again).unwrap();
+        prop_assert!(
+            bytes.starts_with(&again),
+            "loaded a matrix the bytes do not hold"
+        );
+        Ok(())
+    }
+
+    fn sample_rrm(n: usize, seed: u64, epl: u32, bits: u8) -> Vec<u8> {
+        let g = generators::uniform_random(n, 4 * n, seed);
+        let m = RerefMatrix::build(
+            g.out_csr(),
+            epl,
+            1,
+            Quantization::new(bits),
+            Encoding::InterIntra,
+        );
+        let mut buf = Vec::new();
+        write_matrix(&m, &mut buf).unwrap();
+        buf
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn every_truncated_matrix_is_a_format_error(
+            n in 1usize..48,
+            seed in any::<u64>(),
+            epl in prop::sample::select(vec![1u32, 4, 16]),
+            bits in prop::sample::select(vec![4u8, 8, 16]),
+        ) {
+            let buf = sample_rrm(n, seed, epl, bits);
+            for cut in 0..buf.len() {
+                prop_assert!(
+                    matches!(read_matrix(&buf[..cut]), Err(MatrixFileError::Format(_))),
+                    "cut at {cut} loaded"
+                );
+            }
+        }
+
+        #[test]
+        fn damaged_matrices_fail_or_load_consistently(
+            n in 1usize..200,
+            seed in any::<u64>(),
+            epl in prop::sample::select(vec![1u32, 4, 16]),
+            bits in prop::sample::select(vec![4u8, 8, 16]),
+            at in any::<u64>(),
+            bit in 0u8..8,
+            field in 0usize..4,
+            value in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // One bit flip anywhere, then a huge geometry field too: outer,
+            // first, covered and vertices-per-line follow magic + 2 bytes.
+            let mut buf = sample_rrm(n, seed, epl, bits);
+            let at = usize::try_from(at % buf.len() as u64).unwrap();
+            buf[at] ^= 1 << bit;
+            loads_cleanly(&buf)?;
+            let at = 10 + 8 * field;
+            buf[at..at + 8].copy_from_slice(&(value >> shift).to_le_bytes());
+            loads_cleanly(&buf)?;
+        }
+    }
 }

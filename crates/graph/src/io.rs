@@ -395,4 +395,67 @@ mod tests {
         let g = read_edge_list("".as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 0);
     }
+
+    /// Property check for any input: a typed error, or a graph whose
+    /// header fields it honors and that survives its own round trip.
+    fn loads_cleanly(bytes: &[u8]) -> Result<(), String> {
+        let Ok(g) = read_binary(bytes) else {
+            return Ok(());
+        };
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        prop_assert_eq!(g.num_vertices() as u64, field(8));
+        prop_assert_eq!(g.num_edges() as u64, field(16));
+        let mut again = Vec::new();
+        write_binary(&g, &mut again).unwrap();
+        prop_assert_eq!(read_binary(&again[..]).unwrap(), g);
+        Ok(())
+    }
+
+    fn sample_binary(n: usize, m: usize, seed: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(&generators::uniform_random(n, m, seed), &mut buf).unwrap();
+        buf
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn every_truncated_binary_is_a_format_error(
+            n in 1usize..48,
+            m in 0usize..160,
+            seed in any::<u64>(),
+        ) {
+            let buf = sample_binary(n, m, seed);
+            for cut in 0..buf.len() {
+                prop_assert!(
+                    matches!(read_binary(&buf[..cut]), Err(GraphError::Format(_))),
+                    "cut at {cut} loaded"
+                );
+            }
+        }
+
+        #[test]
+        fn damaged_binaries_fail_or_load_consistently(
+            n in 1usize..48,
+            m in 0usize..160,
+            seed in any::<u64>(),
+            at in any::<u64>(),
+            bit in 0u8..8,
+            edges_field in any::<bool>(),
+            value in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // One bit flip anywhere, then a huge vertex or edge count too.
+            let mut buf = sample_binary(n, m, seed);
+            let at = usize::try_from(at % buf.len() as u64).unwrap();
+            buf[at] ^= 1 << bit;
+            loads_cleanly(&buf)?;
+            let at = if edges_field { 16 } else { 8 };
+            buf[at..at + 8].copy_from_slice(&(value >> shift).to_le_bytes());
+            loads_cleanly(&buf)?;
+        }
+    }
 }

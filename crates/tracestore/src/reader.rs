@@ -1,8 +1,10 @@
-//! `POPTTRC2` readers: streaming replay, version dispatch, footer
-//! inspection, and v1→v2 transcoding.
+//! `POPTTRC2` readers: streaming replay and footer inspection.
 //!
 //! The streaming replayer decodes each chunk exactly once and runs in
-//! bounded memory (one chunk payload at a time). Corruption is reported
+//! bounded memory (one chunk payload at a time). Every length field is
+//! untrusted: a buffer grows only as its bytes actually arrive, so a
+//! truncated or damaged file never allocates more than it holds (plus a
+//! small bounded reservation). Corruption is reported
 //! with chunk granularity: a damaged chunk yields
 //! [`TraceFileError::ChunkChecksum`] / [`ChunkCorrupt`] carrying the
 //! chunk's index, after every earlier chunk has already been delivered.
@@ -10,14 +12,11 @@
 //! [`ChunkCorrupt`]: TraceFileError::ChunkCorrupt
 
 use crate::chunk::{decode_chunk, RegionTable};
-use crate::fnv64;
 use crate::varint;
-use crate::writer::{
-    ChunkIndexEntry, ChunkWriter, TraceSummary, BLOCK_CHUNK, BLOCK_FOOTER, END_MAGIC, TRAILER_LEN,
-};
-use popt_trace::file::{replay_events, sniff_magic, TraceFileError, TraceVersion};
+use crate::writer::{ChunkIndexEntry, BLOCK_CHUNK, BLOCK_FOOTER, END_MAGIC, TRAILER_LEN};
+use crate::{fnv64, TraceFileError, MAGIC_V2};
 use popt_trace::TraceSink;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Upper bound on a header meta string; anything larger means a corrupt
@@ -25,22 +24,23 @@ use std::path::Path;
 const MAX_META_LEN: u64 = 1 << 20;
 /// Upper bound on the region table size.
 const MAX_REGIONS: u64 = 1 << 20;
-/// Upper bound on a single chunk payload; bogus lengths from corrupt
-/// framing must not trigger multi-gigabyte allocations.
+/// Upper bound on a single chunk payload; anything larger means corrupt
+/// framing.
 const MAX_PAYLOAD_LEN: u64 = 1 << 30;
+/// Region-table or chunk-index entries reserved before any is read.
+const MAX_PREALLOC: u64 = 1 << 10;
 
 /// Totals from a replay pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplayStats {
     /// Events delivered to the sink.
     pub events: u64,
-    /// Chunks decoded (0 for a v1 trace, which has no chunk structure).
-    /// Each chunk is decoded exactly once per replay, however many sinks
-    /// a [`FanoutSink`](crate::FanoutSink) fans out to.
+    /// Chunks decoded. Each chunk is decoded exactly once per replay,
+    /// however many sinks a [`FanoutSink`](crate::FanoutSink) fans out to.
     pub chunks_decoded: u64,
 }
 
-/// Footer-derived description of a v2 trace file, read without decoding
+/// Footer-derived description of a trace file, read without decoding
 /// any chunk payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceInfo {
@@ -52,14 +52,16 @@ pub struct TraceInfo {
     pub events: u64,
     /// Per-chunk index entries, in file order.
     pub chunks: Vec<ChunkIndexEntry>,
-    /// Size the stream would occupy in the raw `POPTTRC1` format.
+    /// Size the stream would occupy in the retired flat `POPTTRC1`
+    /// encoding, as recorded in the footer.
     pub v1_bytes: u64,
     /// Actual file size.
     pub file_bytes: u64,
 }
 
 impl TraceInfo {
-    /// Compression ratio versus the raw v1 encoding (> 1 means smaller).
+    /// Compression ratio versus the retired flat encoding (> 1 means
+    /// smaller).
     pub fn ratio(&self) -> f64 {
         if self.file_bytes == 0 {
             return 1.0;
@@ -91,7 +93,33 @@ fn read_exact_or<R: Read>(
     })
 }
 
-/// Parses the post-magic v2 header: meta string and region table.
+/// Reads exactly `len` bytes into a buffer that grows only as they
+/// arrive, so a length field larger than the rest of the file costs no
+/// more memory than the file holds.
+fn read_len_or<R: Read>(
+    input: &mut R,
+    len: u64,
+    what: &'static str,
+) -> Result<Vec<u8>, TraceFileError> {
+    let mut buf = Vec::new();
+    input.take(len).read_to_end(&mut buf)?;
+    if buf.len() as u64 != len {
+        return Err(TraceFileError::Truncated { what });
+    }
+    Ok(buf)
+}
+
+/// Reads and checks the leading magic.
+fn read_magic<R: Read>(input: &mut R) -> Result<(), TraceFileError> {
+    let mut magic = [0u8; 8];
+    read_exact_or(input, &mut magic, "magic")?;
+    if &magic != MAGIC_V2 {
+        return Err(TraceFileError::BadMagic { found: magic });
+    }
+    Ok(())
+}
+
+/// Parses the post-magic header: meta string and region table.
 fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFileError> {
     let meta_len = varint::read_u64(input).map_err(truncated("header"))?;
     if meta_len > MAX_META_LEN {
@@ -99,8 +127,7 @@ fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFil
             what: "unreasonable meta length",
         });
     }
-    let mut meta = vec![0u8; meta_len as usize];
-    read_exact_or(input, &mut meta, "header meta")?;
+    let meta = read_len_or(input, meta_len, "header meta")?;
     let meta = String::from_utf8(meta).map_err(|_| TraceFileError::Corrupt {
         what: "meta is not UTF-8",
     })?;
@@ -110,7 +137,7 @@ fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFil
             what: "unreasonable region count",
         });
     }
-    let mut spans = Vec::with_capacity(num_regions as usize);
+    let mut spans = Vec::with_capacity(num_regions.min(MAX_PREALLOC) as usize);
     for _ in 0..num_regions {
         let base = varint::read_u64(input).map_err(truncated("region table"))?;
         let len = varint::read_u64(input).map_err(truncated("region table"))?;
@@ -119,8 +146,8 @@ fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFil
     Ok((meta, RegionTable::new(spans)))
 }
 
-/// Replays a v2 stream whose magic has already been consumed.
-fn replay_v2_body<R: Read, S: TraceSink>(
+/// Replays a stream whose magic has already been consumed.
+fn replay_body<R: Read, S: TraceSink>(
     input: &mut R,
     sink: &mut S,
 ) -> Result<ReplayStats, TraceFileError> {
@@ -142,8 +169,7 @@ fn replay_v2_body<R: Read, S: TraceSink>(
                 }
                 let mut checksum = [0u8; 8];
                 read_exact_or(input, &mut checksum, "chunk checksum")?;
-                let mut payload = vec![0u8; payload_len as usize];
-                read_exact_or(input, &mut payload, "chunk payload")?;
+                let payload = read_len_or(input, payload_len, "chunk payload")?;
                 if fnv64(&payload) != u64::from_le_bytes(checksum) {
                     return Err(TraceFileError::ChunkChecksum { chunk });
                 }
@@ -202,7 +228,7 @@ fn read_footer_body<R: Read>(input: &mut R) -> Result<FooterBody, TraceFileError
             what: "unreasonable chunk count",
         });
     }
-    let mut chunks = Vec::with_capacity(num_chunks as usize);
+    let mut chunks = Vec::with_capacity(num_chunks.min(MAX_PREALLOC) as usize);
     for _ in 0..num_chunks {
         let offset = get(input, &mut body)?;
         let events = get(input, &mut body)?;
@@ -233,41 +259,25 @@ fn read_footer_body<R: Read>(input: &mut R) -> Result<FooterBody, TraceFileError
     })
 }
 
-/// Replays a trace of either version into `sink`, sniffing the magic.
-/// This is the single entry point callers should use when the trace's
-/// version is not known in advance.
+/// Replays a `POPTTRC2` trace into `sink`. This is the single entry
+/// point for decoding a trace.
 ///
 /// # Errors
 ///
-/// [`TraceFileError::BadMagic`] on unknown leading bytes, plus the
-/// version-specific decode errors.
+/// [`TraceFileError::BadMagic`] when the stream does not start with
+/// [`MAGIC_V2`] (a file in the retired `POPTTRC1` format included),
+/// [`TraceFileError::Truncated`] / [`Corrupt`] for a damaged container,
+/// and [`TraceFileError::ChunkChecksum`] / [`ChunkCorrupt`] for a damaged
+/// chunk, after every earlier chunk has been delivered.
+///
+/// [`Corrupt`]: TraceFileError::Corrupt
 pub fn replay_any<R: Read, S: TraceSink>(
     reader: R,
     mut sink: S,
 ) -> Result<ReplayStats, TraceFileError> {
     let mut input = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {
-            let events = replay_events(input, &mut sink)?;
-            Ok(ReplayStats {
-                events,
-                chunks_decoded: 0,
-            })
-        }
-        TraceVersion::V2 => replay_v2_body(&mut input, &mut sink),
-    }
-}
-
-/// Replays a trace file from disk into `sink` (either version).
-///
-/// # Errors
-///
-/// I/O and decode errors, as [`replay_any`].
-pub fn replay_path<S: TraceSink>(path: &Path, sink: S) -> Result<ReplayStats, TraceFileError> {
-    let file = std::fs::File::open(path)?;
-    replay_any(file, sink)
+    read_magic(&mut input)?;
+    replay_body(&mut input, &mut sink)
 }
 
 /// A sink that discards every event; used by [`verify`].
@@ -282,34 +292,27 @@ impl TraceSink for NullSink {
 ///
 /// # Errors
 ///
-/// The first decode error, with chunk granularity for v2 files.
+/// I/O errors opening the file, then the first decode error, as
+/// [`replay_any`].
 pub fn verify(path: &Path) -> Result<ReplayStats, TraceFileError> {
-    replay_path(path, NullSink)
+    replay_any(std::fs::File::open(path)?, NullSink)
 }
 
-/// Reads a v2 file's header and footer — without decoding any chunks —
+/// Reads a trace file's header and footer — without decoding any chunks —
 /// by seeking through the trailer: a cheap integrity probe for a stored
 /// trace.
 ///
 /// # Errors
 ///
-/// [`TraceFileError::UnsupportedVersion`] for a v1 file (which has no
-/// footer), [`TraceFileError::Truncated`] / [`Corrupt`] for a damaged
-/// container.
+/// [`TraceFileError::BadMagic`] for a file that is not `POPTTRC2`,
+/// [`TraceFileError::Truncated`] / [`Corrupt`] for a damaged container.
 ///
 /// [`Corrupt`]: TraceFileError::Corrupt
 pub fn trace_info(path: &Path) -> Result<TraceInfo, TraceFileError> {
     let file = std::fs::File::open(path)?;
     let file_bytes = file.metadata()?.len();
     let mut input = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {
-            return Err(TraceFileError::UnsupportedVersion { found: magic });
-        }
-        TraceVersion::V2 => {}
-    }
+    read_magic(&mut input)?;
     let (meta, regions) = read_header(&mut input)?;
     if file_bytes < TRAILER_LEN {
         return Err(TraceFileError::Truncated { what: "trailer" });
@@ -349,40 +352,10 @@ pub fn trace_info(path: &Path) -> Result<TraceInfo, TraceFileError> {
     })
 }
 
-/// Transcodes a raw `POPTTRC1` stream into the chunked v2 format,
-/// preserving the exact event sequence.
-///
-/// `regions` seeds the delta encoder; [`RegionTable::empty`] is always
-/// correct (v1 files carry no region table), just less compact.
-///
-/// # Errors
-///
-/// Decode errors from the v1 side, I/O errors from either side, and
-/// [`TraceFileError::UnsupportedVersion`] when the input is already v2.
-pub fn transcode_v1<R: Read, W: Write>(
-    reader: R,
-    out: W,
-    regions: RegionTable,
-    meta: &str,
-) -> Result<TraceSummary, TraceFileError> {
-    let mut input = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {}
-        TraceVersion::V2 => {
-            return Err(TraceFileError::UnsupportedVersion { found: magic });
-        }
-    }
-    let mut writer = ChunkWriter::create_with_table(out, regions, meta)?;
-    replay_events(input, &mut writer)?;
-    let (_, summary) = writer.finish()?;
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChunkWriter;
     use popt_trace::{RecordingSink, TraceEvent};
 
     fn record(events: &[TraceEvent], chunk_events: usize) -> Vec<u8> {
@@ -411,16 +384,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_replays_through_replay_any() {
-        let mut buf = Vec::new();
-        let mut w = popt_trace::file::TraceWriter::new(&mut buf).unwrap();
-        w.event(TraceEvent::read(0x40, 7));
-        w.event(TraceEvent::EpochBoundary);
-        w.finish().unwrap();
+    fn retired_v1_magic_is_bad_magic() {
+        // One event in the retired flat encoding: read tag, address, site.
+        let mut buf = b"POPTTRC1".to_vec();
+        buf.extend_from_slice(&[0, 0x40, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0]);
         let mut rec = RecordingSink::new();
-        let stats = replay_any(&buf[..], &mut rec).unwrap();
-        assert_eq!(stats.events, 2);
-        assert_eq!(stats.chunks_decoded, 0);
+        assert!(matches!(
+            replay_any(&buf[..], &mut rec),
+            Err(TraceFileError::BadMagic { found }) if &found == b"POPTTRC1"
+        ));
+        assert!(rec.events().is_empty());
+        let path =
+            std::env::temp_dir().join(format!("popt-tracestore-v1-{}.trc", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        assert!(matches!(
+            trace_info(&path),
+            Err(TraceFileError::BadMagic { found }) if &found == b"POPTTRC1"
+        ));
+        assert!(matches!(
+            verify(&path),
+            Err(TraceFileError::BadMagic { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -453,29 +438,5 @@ mod tests {
         let stats = verify(&path).unwrap();
         assert_eq!(stats.events, 20);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn transcode_preserves_sequence() {
-        let events = vec![
-            TraceEvent::IterationBegin,
-            TraceEvent::read(0x9990, 4),
-            TraceEvent::write(0x9994, 4),
-            TraceEvent::Instructions(3),
-            TraceEvent::CurrentVertex(9),
-        ];
-        let mut v1 = Vec::new();
-        let mut w = popt_trace::file::TraceWriter::new(&mut v1).unwrap();
-        for &e in &events {
-            w.event(e);
-        }
-        w.finish().unwrap();
-        let mut v2 = Vec::new();
-        let summary = transcode_v1(&v1[..], &mut v2, RegionTable::empty(), "x").unwrap();
-        assert_eq!(summary.events, 5);
-        assert_eq!(summary.v1_bytes, v1.len() as u64);
-        let mut rec = RecordingSink::new();
-        replay_any(&v2[..], &mut rec).unwrap();
-        assert_eq!(rec.events(), &events[..]);
     }
 }

@@ -7,17 +7,19 @@
 //! the footer.
 
 use crate::chunk::{encode_chunk, LineSpan, RegionTable};
-use crate::fnv64;
 use crate::varint;
-use popt_trace::file::{TraceFileError, MAGIC_V2};
+use crate::{fnv64, TraceFileError};
 use popt_trace::{AddressSpace, TraceEvent, TraceSink};
 use std::io::{BufWriter, Write};
+
+/// Magic bytes opening every `POPTTRC2` file.
+pub const MAGIC_V2: &[u8; 8] = b"POPTTRC2";
 
 /// Chunk block tag.
 pub(crate) const BLOCK_CHUNK: u8 = 0x01;
 /// Footer block tag.
 pub(crate) const BLOCK_FOOTER: u8 = 0x02;
-/// Trailing magic closing every well-formed v2 file.
+/// Trailing magic closing every well-formed file.
 pub(crate) const END_MAGIC: &[u8; 8] = b"POPTTRCE";
 /// Trailer size: u64 footer offset + end magic.
 pub(crate) const TRAILER_LEN: u64 = 16;
@@ -49,14 +51,17 @@ pub struct TraceSummary {
     pub events: u64,
     /// Chunks written.
     pub chunks: u64,
-    /// Size the same stream would occupy in the raw `POPTTRC1` format.
+    /// Size the same stream would occupy in the retired flat `POPTTRC1`
+    /// encoding (8-byte magic, then 13 bytes per access and 1–5 bytes per
+    /// other event): the baseline of [`ratio`](TraceSummary::ratio).
     pub v1_bytes: u64,
     /// Actual file size in the `POPTTRC2` format.
     pub v2_bytes: u64,
 }
 
 impl TraceSummary {
-    /// Compression ratio versus the raw v1 encoding (> 1 means smaller).
+    /// Compression ratio versus the retired flat encoding (> 1 means
+    /// smaller).
     pub fn ratio(&self) -> f64 {
         if self.v2_bytes == 0 {
             return 1.0;
@@ -65,8 +70,8 @@ impl TraceSummary {
     }
 }
 
-/// Byte cost of `event` in the raw `POPTTRC1` encoding, for the
-/// compression accounting in the footer.
+/// Byte cost of `event` in the retired flat `POPTTRC1` encoding, for the
+/// compression accounting in the footer's `v1_bytes` field.
 pub(crate) fn v1_cost(event: &TraceEvent) -> u64 {
     match event {
         TraceEvent::Access(_) => 13,
@@ -75,11 +80,11 @@ pub(crate) fn v1_cost(event: &TraceEvent) -> u64 {
     }
 }
 
-/// A [`TraceSink`] that streams events into a chunked v2 file.
+/// A [`TraceSink`] that streams events into a chunked `POPTTRC2` file.
 ///
-/// Like `popt_trace::file::TraceWriter`, write errors are latched (the
-/// sink interface is infallible) and surfaced by [`finish`], which must
-/// be called to produce a well-formed file.
+/// Write errors are latched (the sink interface is infallible) and
+/// surfaced by [`finish`], which must be called to produce a well-formed
+/// file.
 ///
 /// [`finish`]: ChunkWriter::finish
 pub struct ChunkWriter<W: Write> {
@@ -107,8 +112,8 @@ impl<W: Write> ChunkWriter<W> {
         Self::create_with_table(inner, RegionTable::from_space(space), meta)
     }
 
-    /// Creates a writer with an explicit [`RegionTable`] (used by the
-    /// v1→v2 transcoder, where no `AddressSpace` exists).
+    /// Creates a writer with an explicit [`RegionTable`], for streams that
+    /// come from no `AddressSpace`.
     ///
     /// # Errors
     ///
@@ -138,7 +143,7 @@ impl<W: Write> ChunkWriter<W> {
             index: Vec::new(),
             offset: header.len() as u64,
             total_events: 0,
-            v1_bytes: 8, // the v1 magic
+            v1_bytes: 8, // the flat encoding's magic
             error: None,
         })
     }
@@ -149,11 +154,6 @@ impl<W: Write> ChunkWriter<W> {
     pub fn with_chunk_events(mut self, chunk_events: usize) -> Self {
         self.chunk_events = chunk_events.max(1);
         self
-    }
-
-    /// Events accepted so far.
-    pub fn events_written(&self) -> u64 {
-        self.total_events
     }
 
     fn flush_chunk(&mut self) -> std::io::Result<()> {
