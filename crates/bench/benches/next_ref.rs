@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use popt_bench::bench_graph;
 use popt_core::{Encoding, IrregularStream, NextRefIndex, Quantization, RerefMatrix, Topt};
-use popt_sim::{AccessMeta, ControlEvent, LineView, ReplacementPolicy, VictimCtx};
+use popt_sim::{AccessMeta, ControlEvent, ReplacementPolicy, VictimCtx};
 use popt_trace::{AccessKind, RegionClass, SiteId};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -47,7 +47,7 @@ fn topt_victim_search(c: &mut Criterion) {
         bound: u64::from(VERTICES) * 4,
         vertices_per_line: 16,
     };
-    let lines = u64::from(VERTICES / 16);
+    let num_lines = u64::from(VERTICES / 16);
     let index = Arc::new(NextRefIndex::build(g.out_csr(), &[stream]));
     let mut topt = Topt::new(index, 1, 16);
     let incoming = AccessMeta {
@@ -58,10 +58,7 @@ fn topt_victim_search(c: &mut Criterion) {
     };
     c.bench_function("next_ref/topt_victim_16way", |b| {
         let mut vertex = 0u32;
-        let mut ways = [LineView {
-            valid: true,
-            line: 0,
-        }; 16];
+        let mut lines = [0u64; 16];
         b.iter(|| {
             vertex += 3;
             if vertex >= VERTICES {
@@ -69,12 +66,12 @@ fn topt_victim_search(c: &mut Criterion) {
                 topt.on_control(&ControlEvent::IterationBegin);
             }
             topt.on_control(&ControlEvent::CurrentVertex(vertex));
-            for (i, w) in (0u64..).zip(ways.iter_mut()) {
-                w.line = (u64::from(vertex) * 7 + i * 127) % lines;
+            for (i, line) in (0u64..).zip(lines.iter_mut()) {
+                *line = (u64::from(vertex) * 7 + i * 127) % num_lines;
             }
             black_box(topt.victim(&VictimCtx {
                 set: 0,
-                ways: &ways,
+                lines: &lines,
                 incoming: &incoming,
             }))
         })

@@ -199,8 +199,8 @@ impl ReplacementPolicy for Popt {
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         self.scratch.clear();
-        for w in ctx.ways {
-            self.scratch.push(self.classify(w.line));
+        for &line in ctx.lines {
+            self.scratch.push(self.classify(line));
         }
         let choice = self.engine.choose(&self.scratch);
         self.overheads.decisions += 1;
@@ -255,7 +255,6 @@ mod tests {
     use super::*;
     use crate::{Encoding, Quantization};
     use popt_graph::Graph;
-    use popt_sim::LineView;
     use popt_trace::{AccessKind, RegionClass, SiteId};
 
     fn figure1() -> Graph {
@@ -310,19 +309,10 @@ mod tests {
         // with epoch size 1; evaluate at the next outer vertex as the paper
         // does for its distances.
         popt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let lines = [1, 2];
         let victim = popt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(4),
         });
         assert_eq!(victim, 0, "S1 (next ref D4) must lose to S2 (next ref D1)");
@@ -358,19 +348,10 @@ mod tests {
         let g = figure1();
         let mut popt = Popt::new(PoptConfig::new(vec![unit_binding(&g)]), 1, 2);
         popt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let lines = [1, 2];
         let _ = popt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(4),
         });
         assert_eq!(popt.overheads().matrix_lookups, 2);
@@ -381,19 +362,10 @@ mod tests {
     fn streaming_lines_evicted_before_matrix_is_consulted() {
         let g = figure1();
         let mut popt = Popt::new(PoptConfig::new(vec![unit_binding(&g)]), 1, 2);
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1000,
-            },
-            LineView {
-                valid: true,
-                line: 1,
-            },
-        ];
+        let lines = [1000, 1];
         let victim = popt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(4),
         });
         assert_eq!(victim, 0);

@@ -247,8 +247,8 @@ impl ReplacementPolicy for Topt {
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         self.scratch.clear();
-        for w in ctx.ways {
-            let class = self.classify(w.line);
+        for &line in ctx.lines {
+            let class = self.classify(line);
             self.scratch.push(class);
         }
         let choice = self.engine.choose(&self.scratch);
@@ -284,7 +284,6 @@ impl ReplacementPolicy for Topt {
 mod tests {
     use super::*;
     use popt_graph::Graph;
-    use popt_sim::LineView;
     use popt_trace::{AccessKind, RegionClass, SiteId};
 
     /// Figure 1's example graph.
@@ -338,19 +337,10 @@ mod tests {
         let g = figure1();
         let mut topt = Topt::new(index(g.out_csr(), &[unit_stream()]), 1, 2);
         topt.on_control(&ControlEvent::CurrentVertex(0));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let lines = [1, 2];
         let victim = topt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(4),
         });
         assert_eq!(victim, 0, "S1 must be evicted");
@@ -363,19 +353,10 @@ mod tests {
         let g = figure1();
         let mut topt = Topt::new(index(g.out_csr(), &[unit_stream()]), 1, 2);
         topt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 4,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let lines = [4, 2];
         let victim = topt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(3),
         });
         assert_eq!(victim, 1, "S2 must be evicted");
@@ -388,19 +369,10 @@ mod tests {
         topt.on_control(&ControlEvent::CurrentVertex(0));
         // Line 100 is outside the stream: streaming, evicted first even
         // though the irregular line is never referenced again.
-        let ways = [
-            LineView {
-                valid: true,
-                line: 0,
-            },
-            LineView {
-                valid: true,
-                line: 100,
-            },
-        ];
+        let lines = [0, 100];
         let victim = topt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(3),
         });
         assert_eq!(victim, 1);
@@ -443,19 +415,10 @@ mod tests {
         topt.on_fill(0, 0, &meta(0));
         topt.on_fill(0, 1, &meta(1));
         topt.on_hit(0, 0, &meta(0)); // way 0 recently re-referenced
-        let ways = [
-            LineView {
-                valid: true,
-                line: 0,
-            },
-            LineView {
-                valid: true,
-                line: 1,
-            },
-        ];
+        let lines = [0, 1];
         let victim = topt.victim(&VictimCtx {
             set: 0,
-            ways: &ways,
+            lines: &lines,
             incoming: &meta(2),
         });
         assert_eq!(victim, 1, "staler way loses the tie");

@@ -23,9 +23,12 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the size is not a positive multiple of `ways * 64`.
+    /// Panics if `ways` is not in `1..=64` (a set's valid and dirty bits
+    /// are one `u64` each) or the size is not a positive multiple of
+    /// `ways * 64`.
     pub fn new(size_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
+        assert!(ways <= 64, "associativity {ways} exceeds the 64-way limit");
         assert!(
             size_bytes > 0 && size_bytes.is_multiple_of(ways * popt_trace::LINE_SIZE as usize),
             "cache size must be a positive multiple of ways * line size"
@@ -180,6 +183,12 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn size_must_divide() {
         let _ = CacheConfig::new(1000, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-way limit")]
+    fn sixty_five_ways_are_rejected() {
+        let _ = CacheConfig::new(64 * 65, 65);
     }
 
     #[test]

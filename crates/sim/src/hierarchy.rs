@@ -1,6 +1,7 @@
 use crate::nuca::{BankMapping, MAX_BANKS};
+use crate::policies::BitPlru;
 use crate::{
-    AccessMeta, ControlEvent, HierarchyConfig, HierarchyStats, PolicyKind, ReplacementPolicy,
+    AccessMeta, CacheConfig, ControlEvent, HierarchyConfig, HierarchyStats, ReplacementPolicy,
     SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
@@ -20,13 +21,25 @@ impl BankMapping {
     }
 }
 
-/// One core's private cache levels.
+/// One core's private cache levels. Their policy is always Bit-PLRU
+/// (Table I), so it is named statically and its hooks inline into the
+/// probes.
 struct Core {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
+    l1: SetAssocCache<BitPlru>,
+    l2: SetAssocCache<BitPlru>,
 }
 
 impl Core {
+    fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
+        let private = |cfg: CacheConfig| {
+            SetAssocCache::new(cfg, Box::new(BitPlru::new(cfg.num_sets(), cfg.ways())))
+        };
+        Core {
+            l1: private(l1),
+            l2: private(l2),
+        }
+    }
+
     /// Invalidates `line` in both private levels; returns whether any copy
     /// existed (dirty copies are dropped — the writer's fill supersedes
     /// them, as under MESI the modified copy would be transferred).
@@ -117,18 +130,7 @@ impl Hierarchy {
                 )
             })
             .collect();
-        let cores = (0..num_cores)
-            .map(|_| Core {
-                l1: SetAssocCache::new(
-                    cfg.l1,
-                    PolicyKind::BitPlru.build(cfg.l1.num_sets(), cfg.l1.ways()),
-                ),
-                l2: SetAssocCache::new(
-                    cfg.l2,
-                    PolicyKind::BitPlru.build(cfg.l2.num_sets(), cfg.l2.ways()),
-                ),
-            })
-            .collect();
+        let cores = (0..num_cores).map(|_| Core::new(cfg.l1, cfg.l2)).collect();
         Hierarchy {
             cores,
             active_core: 0,
@@ -198,7 +200,11 @@ impl Hierarchy {
     fn writeback_below_l2(&mut self, line: u64) {
         let irregular = self.classify(line << popt_trace::LINE_SHIFT) == RegionClass::Irregular;
         let (bank, local) = self.llc_route(line, irregular);
-        if !self.banks[bank].absorb_writeback(local) {
+        let absorbed = self
+            .banks
+            .get_mut(bank)
+            .is_some_and(|b| b.absorb_writeback(local));
+        if !absorbed {
             self.dram_writebacks += 1;
         }
     }
@@ -226,36 +232,24 @@ impl Hierarchy {
                 }
             }
         }
-        let core = &mut self.cores[self.active_core];
+        // `active_core` is always reduced modulo the core count.
+        let Some(core) = self.cores.get_mut(self.active_core) else {
+            return;
+        };
         let out1 = core.l1.access(&meta);
         if out1.is_hit() {
             return;
         }
         let out2 = core.l2.access(&meta);
         // Propagate the L1 victim's writeback: absorbed by L2 if resident,
-        // else it continues toward the LLC/DRAM.
-        let mut pending: Vec<u64> = Vec::new();
-        if let crate::AccessOutcome::Miss {
-            evicted: Some(victim),
-            evicted_dirty: true,
-        } = out1
-        {
-            if !core.l2.absorb_writeback(victim) {
-                pending.push(victim);
-            }
-        }
-        if let crate::AccessOutcome::Miss {
-            evicted: Some(victim),
-            evicted_dirty: true,
-        } = out2
-        {
-            pending.push(victim);
-        }
-        let l2_hit = out2.is_hit();
-        for victim in pending {
+        // else it continues toward the LLC/DRAM, ahead of L2's own victim.
+        let l1_victim = out1
+            .dirty_victim()
+            .filter(|&victim| !core.l2.absorb_writeback(victim));
+        for victim in l1_victim.into_iter().chain(out2.dirty_victim()) {
             self.writeback_below_l2(victim);
         }
-        if l2_hit {
+        if out2.is_hit() {
             return;
         }
         let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
@@ -269,7 +263,9 @@ impl Hierarchy {
         }
         // Placement (set selection) uses the bank-local renumbering; the
         // policy keeps seeing the global line.
-        let _ = self.banks[bank].access_placed(&meta, local);
+        if let Some(b) = self.banks.get_mut(bank) {
+            let _ = b.access_placed(&meta, local);
+        }
     }
 
     /// Installs `addr`'s line into the LLC without touching demand
@@ -286,7 +282,11 @@ impl Hierarchy {
             kind: AccessKind::Read,
             class,
         };
-        if self.banks[bank].prefetch_placed(&meta, local) {
+        if self
+            .banks
+            .get_mut(bank)
+            .is_some_and(|b| b.prefetch_placed(&meta, local))
+        {
             self.prefetch_fills += 1;
         }
     }
@@ -367,7 +367,7 @@ impl TraceSink for Hierarchy {
 mod tests {
     use super::*;
     use crate::policies::Belady;
-    use crate::NucaConfig;
+    use crate::{NucaConfig, PolicyKind};
     use popt_trace::RegionClass;
 
     fn lru_hierarchy(cfg: &HierarchyConfig) -> Hierarchy {

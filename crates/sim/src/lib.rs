@@ -36,6 +36,7 @@
 
 mod cache;
 mod config;
+mod hash;
 mod hierarchy;
 mod nuca;
 pub mod policies;
@@ -48,8 +49,6 @@ pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
 pub use nuca::{BankMapping, NucaConfig, MAX_BANKS};
 pub use policies::PolicyKind;
-pub use replace::{
-    AccessMeta, ControlEvent, LineView, PolicyOverheads, ReplacementPolicy, VictimCtx,
-};
+pub use replace::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};
 pub use stats::{CacheStats, HierarchyStats};
 pub use timing::{TimingBreakdown, TimingModel};

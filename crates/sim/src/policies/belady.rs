@@ -95,7 +95,7 @@ impl ReplacementPolicy for Belady {
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
-        (0..ctx.ways.len())
+        (0..ctx.lines.len())
             .max_by_key(|&w| self.way_next[base + w])
             .unwrap_or(0)
     }

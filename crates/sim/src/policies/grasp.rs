@@ -112,7 +112,7 @@ impl ReplacementPolicy for Grasp {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.core.find_victim(ctx.set, ctx.ways.len())
+        self.core.find_victim(ctx.set, ctx.lines.len())
     }
 }
 

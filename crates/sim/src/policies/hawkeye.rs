@@ -12,8 +12,8 @@
 //! `srcData[src]` load touches both hub vertices (high reuse) and leaf
 //! vertices (no reuse).
 
+use crate::hash::IntMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
-use std::collections::HashMap;
 
 /// 3-bit RRPV ceiling used by Hawkeye.
 const RRPV_MAX: u8 = 7;
@@ -33,7 +33,7 @@ struct OptGen {
     window: usize,
     time: u64,
     occupancy: Vec<u8>,
-    last_access: HashMap<u64, (u64, u32)>,
+    last_access: IntMap<u64, (u64, u32)>,
 }
 
 impl OptGen {
@@ -44,7 +44,7 @@ impl OptGen {
             window,
             time: 0,
             occupancy: vec![0; window],
-            last_access: HashMap::new(),
+            last_access: IntMap::default(),
         }
     }
 
@@ -102,8 +102,8 @@ pub struct Hawkeye {
     rrpv: Vec<u8>,
     line_site: Vec<u32>,
     line_friendly: Vec<bool>,
-    predictor: HashMap<u32, u8>,
-    samplers: HashMap<usize, OptGen>,
+    predictor: IntMap<u32, u8>,
+    samplers: IntMap<usize, OptGen>,
 }
 
 impl std::fmt::Debug for Hawkeye {
@@ -124,8 +124,8 @@ impl Hawkeye {
             rrpv: vec![RRPV_MAX; sets * ways],
             line_site: vec![0; sets * ways],
             line_friendly: vec![false; sets * ways],
-            predictor: HashMap::new(),
-            samplers: HashMap::new(),
+            predictor: IntMap::default(),
+            samplers: IntMap::default(),
         }
     }
 
@@ -194,12 +194,12 @@ impl ReplacementPolicy for Hawkeye {
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
         // Cache-averse lines (RRPV == max) go first.
-        if let Some(w) = (0..ctx.ways.len()).find(|&w| self.rrpv[base + w] == RRPV_MAX) {
+        if let Some(w) = (0..ctx.lines.len()).find(|&w| self.rrpv[base + w] == RRPV_MAX) {
             return w;
         }
         // Otherwise evict the oldest friendly line and detrain its site:
         // the prediction was wrong.
-        let w = (0..ctx.ways.len())
+        let w = (0..ctx.lines.len())
             .max_by_key(|&w| self.rrpv[base + w])
             .unwrap_or(0);
         if self.line_friendly[base + w] {

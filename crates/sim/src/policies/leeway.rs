@@ -10,9 +10,9 @@
 //! fast (any underestimate that caused a premature eviction) and decay
 //! slowly.
 
+use crate::hash::IntMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 use popt_graph::cast;
-use std::collections::HashMap;
 
 /// Ceiling on learned live distances (in set-relative access counts).
 const LIVE_DISTANCE_MAX: u16 = 255;
@@ -39,7 +39,7 @@ pub struct Leeway {
     // Per set: its local access clock.
     set_clock: Vec<u64>,
     // Per site: learned live distance.
-    live_distance: HashMap<u32, u16>,
+    live_distance: IntMap<u32, u16>,
 }
 
 impl std::fmt::Debug for Leeway {
@@ -57,7 +57,7 @@ impl Leeway {
             line_site: vec![0; sets * ways],
             line_last_hit_age: vec![0; sets * ways],
             set_clock: vec![0; sets],
-            live_distance: HashMap::new(),
+            live_distance: IntMap::default(),
         }
     }
 
@@ -140,7 +140,7 @@ impl ReplacementPolicy for Leeway {
         // Prefer the block furthest past its live distance; fall back to
         // the oldest block (LRU order by last touch).
         let mut best_dead: Option<(usize, u64)> = None;
-        for w in 0..ctx.ways.len() {
+        for w in 0..ctx.lines.len() {
             let age = self.age(ctx.set, w);
             let live = self.live_distance_of(self.line_site[base + w]) as u64;
             if age > live {
@@ -153,7 +153,7 @@ impl ReplacementPolicy for Leeway {
         if let Some((w, _)) = best_dead {
             return w;
         }
-        (0..ctx.ways.len())
+        (0..ctx.lines.len())
             .max_by_key(|&w| self.age(ctx.set, w))
             .unwrap_or(0)
     }

@@ -34,7 +34,9 @@ impl Lru {
 
     fn touch(&mut self, set: usize, way: usize) {
         self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
+        if let Some(stamp) = self.stamps.get_mut(set * self.ways + way) {
+            *stamp = self.clock;
+        }
     }
 }
 
@@ -53,9 +55,10 @@ impl ReplacementPolicy for Lru {
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
-        (0..ctx.ways.len())
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0)
+        self.stamps
+            .get(base..base + ctx.lines.len())
+            .and_then(|row| row.iter().enumerate().min_by_key(|&(_, &stamp)| stamp))
+            .map_or(0, |(w, _)| w)
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::cache::way_mask;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 
 /// Bit-PLRU replacement — the paper's L1/L2 policy (Table I).
@@ -17,7 +18,8 @@ use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BitPlru {
-    ways: usize,
+    /// Every way's bit set: the state that wraps to a single MRU bit.
+    all: u64,
     mru: Vec<u64>,
 }
 
@@ -30,22 +32,17 @@ impl BitPlru {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(ways <= 64, "BitPlru supports at most 64 ways");
         BitPlru {
-            ways,
+            all: way_mask(ways),
             mru: vec![0; sets],
         }
     }
 
+    #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        let all = if self.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways) - 1
-        };
-        let bit = 1u64 << way;
-        if self.mru[set] | bit == all {
-            self.mru[set] = bit;
-        } else {
-            self.mru[set] |= bit;
+        if let Some(bits) = self.mru.get_mut(set) {
+            let bit = 1u64 << way;
+            let next = *bits | bit;
+            *bits = if next == self.all { bit } else { next };
         }
     }
 }
@@ -55,19 +52,23 @@ impl ReplacementPolicy for BitPlru {
         "Bit-PLRU".to_string()
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.touch(set, way);
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.touch(set, way);
     }
 
+    /// The lowest data way with a clear MRU bit, or way 0 when every data
+    /// way's bit is set (possible only with reserved ways).
+    #[inline]
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        let bits = self.mru[ctx.set];
-        (0..ctx.ways.len())
-            .find(|&w| bits & (1u64 << w) == 0)
-            .unwrap_or(0)
+        let mru = self.mru.get(ctx.set).copied().unwrap_or_default();
+        let clear = !mru & way_mask(ctx.lines.len());
+        (clear | u64::from(clear == 0)).trailing_zeros() as usize
     }
 }
 

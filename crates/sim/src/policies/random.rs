@@ -44,7 +44,7 @@ impl ReplacementPolicy for RandomEvict {
     fn on_fill(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {}
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        (self.next() % ctx.ways.len() as u64) as usize
+        (self.next() % ctx.lines.len() as u64) as usize
     }
 }
 

@@ -28,26 +28,33 @@ impl RripCore {
     }
 
     pub(crate) fn set_rrpv(&mut self, set: usize, way: usize, value: u8) {
-        self.rrpv[set * self.ways + way] = value;
+        if let Some(r) = self.rrpv.get_mut(set * self.ways + way) {
+            *r = value;
+        }
     }
 
     pub(crate) fn rrpv(&self, set: usize, way: usize) -> u8 {
-        self.rrpv[set * self.ways + way]
+        self.rrpv
+            .get(set * self.ways + way)
+            .copied()
+            .unwrap_or(RRPV_MAX)
     }
 
-    /// SRRIP victim search: find a way at `RRPV_MAX`, aging the whole set
-    /// until one exists. Returns the lowest-indexed distant way.
+    /// SRRIP victim search: the lowest-indexed way at `RRPV_MAX`, after
+    /// aging the set until one exists. The aging loop is done in closed
+    /// form: every way ages by `RRPV_MAX - max` at once, which brings
+    /// exactly the ways holding the row's maximum to `RRPV_MAX`.
     pub(crate) fn find_victim(&mut self, set: usize, ways_in_play: usize) -> usize {
-        loop {
-            for w in 0..ways_in_play {
-                if self.rrpv[set * self.ways + w] >= RRPV_MAX {
-                    return w;
-                }
-            }
-            for w in 0..ways_in_play {
-                self.rrpv[set * self.ways + w] += 1;
-            }
+        let base = set * self.ways;
+        let Some(row) = self.rrpv.get_mut(base..base + ways_in_play) else {
+            return 0;
+        };
+        let max = row.iter().copied().max().unwrap_or(RRPV_MAX);
+        let age = RRPV_MAX.saturating_sub(max);
+        for r in row.iter_mut() {
+            *r += age;
         }
+        row.iter().position(|&r| r >= RRPV_MAX).unwrap_or(0)
     }
 }
 
@@ -92,7 +99,7 @@ impl ReplacementPolicy for Srrip {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.core.find_victim(ctx.set, ctx.ways.len())
+        self.core.find_victim(ctx.set, ctx.lines.len())
     }
 }
 
@@ -149,7 +156,7 @@ impl ReplacementPolicy for Brrip {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.core.find_victim(ctx.set, ctx.ways.len())
+        self.core.find_victim(ctx.set, ctx.lines.len())
     }
 }
 
@@ -247,7 +254,7 @@ impl ReplacementPolicy for Drrip {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.core.find_victim(ctx.set, ctx.ways.len())
+        self.core.find_victim(ctx.set, ctx.lines.len())
     }
 }
 
@@ -320,6 +327,47 @@ mod tests {
             drrip > srrip + (brrip - srrip) / 4,
             "DRRIP {drrip} should lean toward BRRIP {brrip} over SRRIP {srrip}"
         );
+    }
+
+    /// The age-until-distant loop the closed form replaced, kept as the
+    /// reference.
+    fn aging_loop(rrpv: &mut [u8], ways_in_play: usize) -> usize {
+        loop {
+            for w in 0..ways_in_play {
+                if rrpv[w] >= RRPV_MAX {
+                    return w;
+                }
+            }
+            for r in &mut rrpv[..ways_in_play] {
+                *r += 1;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn closed_form_aging_matches_the_aging_loop(
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..=RRPV_MAX, 64..65), 1..8),
+            ways in 1usize..65,
+            reserved in 0usize..4,
+            set_pick in 0usize..8,
+        ) {
+            let mut core = RripCore::new(rows.len(), ways);
+            for (set, row) in rows.iter().enumerate() {
+                for (way, &v) in row.iter().take(ways).enumerate() {
+                    core.set_rrpv(set, way, v);
+                }
+            }
+            let set = set_pick % rows.len();
+            let data_ways = ways.saturating_sub(reserved).max(1);
+            let mut expected = core.rrpv.clone();
+            let want = aging_loop(&mut expected[set * ways..], data_ways);
+            let got = core.find_victim(set, data_ways);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(&core.rrpv, &expected);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! At access time, a line whose site predicts dead is marked evictable;
 //! victims prefer predicted-dead lines and fall back to LRU order.
 
+use crate::hash::IntMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
-use std::collections::HashMap;
 
 /// Saturating predictor ceiling (2-bit counters in the original's skewed
 /// tables; one table suffices for our site-accurate signatures).
@@ -40,7 +40,7 @@ pub struct Sdbp {
     line_dead: Vec<bool>,
     line_reused: Vec<bool>,
     clock: u64,
-    predictor: HashMap<u32, u8>,
+    predictor: IntMap<u32, u8>,
 }
 
 impl std::fmt::Debug for Sdbp {
@@ -59,7 +59,7 @@ impl Sdbp {
             line_dead: vec![false; sets * ways],
             line_reused: vec![false; sets * ways],
             clock: 0,
-            predictor: HashMap::new(),
+            predictor: IntMap::default(),
         }
     }
 
@@ -122,13 +122,13 @@ impl ReplacementPolicy for Sdbp {
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
         // Predicted-dead lines first (oldest among them), else plain LRU.
-        if let Some(w) = (0..ctx.ways.len())
+        if let Some(w) = (0..ctx.lines.len())
             .filter(|&w| self.line_dead[base + w])
             .min_by_key(|&w| self.stamps[base + w])
         {
             return w;
         }
-        (0..ctx.ways.len())
+        (0..ctx.lines.len())
             .min_by_key(|&w| self.stamps[base + w])
             .unwrap_or(0)
     }

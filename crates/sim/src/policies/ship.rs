@@ -13,10 +13,10 @@
 //!   *idealized* SHiP-Mem "with infinite storage to track individual cache
 //!   lines"; we reproduce that with an unbounded per-line counter map.
 
+use crate::hash::IntMap;
 use crate::policies::rrip::RripCore;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 use popt_trace::SiteId;
-use std::collections::HashMap;
 
 /// Signature source for SHiP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ pub struct Ship {
     ways: usize,
     mode: ShipSignature,
     pc_table: Vec<u8>,
-    mem_table: HashMap<u64, u8>,
+    mem_table: IntMap<u64, u8>,
     // Per (set, way): the fill signature and whether the line re-referenced.
     line_sig: Vec<u64>,
     line_outcome: Vec<bool>,
@@ -72,7 +72,7 @@ impl Ship {
             mode,
             // Weakly "reused" so cold signatures are not instantly dead.
             pc_table: vec![1; SHCT_ENTRIES],
-            mem_table: HashMap::new(),
+            mem_table: IntMap::default(),
             line_sig: vec![0; sets * ways],
             line_outcome: vec![false; sets * ways],
         }
@@ -147,7 +147,7 @@ impl ReplacementPolicy for Ship {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.core.find_victim(ctx.set, ctx.ways.len())
+        self.core.find_victim(ctx.set, ctx.lines.len())
     }
 }
 

@@ -14,27 +14,21 @@ pub struct AccessMeta {
     pub class: RegionClass,
 }
 
-/// Snapshot of one way during victim selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineView {
-    /// Whether the way holds a valid line (always true during victim
-    /// selection — fills prefer invalid ways without consulting the policy).
-    pub valid: bool,
-    /// Cache line number stored in the way.
-    pub line: u64,
-}
-
 /// Context for a victim decision.
 ///
-/// `ways` contains only the *replaceable* ways: reserved (way-partitioned)
-/// ways are excluded before the policy ever sees the set, which structurally
-/// enforces the paper's "P-OPT never evicts Rereference Matrix data".
+/// `lines` holds only the *replaceable* (data) ways, and every one of them
+/// is valid: fills take an invalid way without consulting the policy, and
+/// reserved (way-partitioned) ways are excluded before the policy ever sees
+/// the set, which structurally enforces the paper's "P-OPT never evicts
+/// Rereference Matrix data". The slice is borrowed from the cache's own
+/// per-set storage; nothing is copied per miss.
 #[derive(Debug)]
 pub struct VictimCtx<'a> {
     /// Set index within the cache (bank).
     pub set: usize,
-    /// The replaceable ways, indexed 0..data_ways.
-    pub ways: &'a [LineView],
+    /// The global line held by each replaceable way, indexed
+    /// `0..data_ways`.
+    pub lines: &'a [u64],
     /// The access that triggered the replacement.
     pub incoming: &'a AccessMeta,
 }
@@ -114,7 +108,7 @@ pub trait ReplacementPolicy {
     fn on_evict(&mut self, _set: usize, _way: usize, _line: u64) {}
 
     /// Chooses which replaceable way to evict. Returns an index into
-    /// `ctx.ways`.
+    /// `ctx.lines`.
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize;
 
     /// Receives software control events (graph-aware policies only).

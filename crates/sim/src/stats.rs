@@ -42,18 +42,14 @@ impl CacheStats {
         }
     }
 
+    /// Counts one demand lookup, without branching on the region class.
+    #[inline]
     pub(crate) fn record(&mut self, hit: bool, class: RegionClass) {
-        if hit {
-            self.hits += 1;
-            if class == RegionClass::Irregular {
-                self.irregular_hits += 1;
-            }
-        } else {
-            self.misses += 1;
-            if class == RegionClass::Irregular {
-                self.irregular_misses += 1;
-            }
-        }
+        let (hit, irregular) = (u64::from(hit), u64::from(class == RegionClass::Irregular));
+        self.hits += hit;
+        self.misses += 1 - hit;
+        self.irregular_hits += hit & irregular;
+        self.irregular_misses += (1 - hit) & irregular;
     }
 
     /// Component-wise sum (used to aggregate NUCA banks).
